@@ -173,93 +173,98 @@ def _cmd_growth(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle_decompose(args) -> int:
+    basis = SuperBasis(args.k, args.l)
+    n = args.n
     cap = _dim_cap()
-    if args.action == "decompose":
-        basis = SuperBasis(args.k, args.l)
-        n = args.n
-        detail = []
-        ok = True
-        total = 0
-        for lam in enumerate_partitions(n):
-            sub = module_W(lam, basis, n, cap)
-            expected = w_dim(lam, args.k, args.l)
-            ok = ok and sub.dim == expected
-            total += sub.dim
-            detail.append({"lambda": list(lam), "module": sub.dim, "w": expected})
-        ok = ok and total == basis.dim**n
-        if args.format == "json":
-            _print_json(
-                {
-                    "k": args.k,
-                    "l": args.l,
-                    "n": n,
-                    "total": total,
-                    "expected_total": basis.dim**n,
-                    "blocks": detail,
-                    "verdict": "PASS" if ok else "FAIL",
-                }
+    detail = []
+    ok = True
+    total = 0
+    for lam in enumerate_partitions(n):
+        sub = module_W(lam, basis, n, cap)
+        expected = w_dim(lam, args.k, args.l)
+        ok = ok and sub.dim == expected
+        total += sub.dim
+        detail.append({"lambda": list(lam), "module": sub.dim, "w": expected})
+    ok = ok and total == basis.dim**n
+    if args.format == "json":
+        _print_json(
+            {
+                "k": args.k,
+                "l": args.l,
+                "n": n,
+                "total": total,
+                "expected_total": basis.dim**n,
+                "blocks": detail,
+                "verdict": "PASS" if ok else "FAIL",
+            }
+        )
+    else:
+        for entry in detail:
+            print(
+                f"{display_partition(tuple(entry['lambda']))} "
+                f"module={entry['module']} w={entry['w']}"
             )
-        else:
-            for entry in detail:
-                print(
-                    f"{display_partition(tuple(entry['lambda']))} "
-                    f"module={entry['module']} w={entry['w']}"
-                )
-            print(f"{'PASS' if ok else 'FAIL'} total={total} expected={basis.dim ** n}")
-        return 0 if ok else 1
-    if args.action == "check-ideal":
-        filt = Filter.load(args.file)
-        if filt.ambient is None:
-            raise ValueError("filter file must set k and l for check-ideal")
-        basis = SuperBasis(*filt.ambient)
-        members = [
-            lam
-            for n in range(args.n_max + 1)
-            for lam in enumerate_partitions(n)
-            if filt.member(lam)
-        ]
-        ok = check_ideal(members, basis, args.n_max, cap)
-        if args.format == "json":
-            _print_json({"n_max": args.n_max, "verdict": "PASS" if ok else "FAIL"})
-        else:
-            print("PASS" if ok else "FAIL")
-        return 0 if ok else 1
-    if args.action == "identity":
-        filt = Filter.load(args.file)
-        if filt.ambient is None:
-            raise ValueError("filter file must set k and l for identity")
-        basis = SuperBasis(*filt.ambient)
-        g = named_poly(args.poly)
-        ok = evaluate_identity(g, filt, basis, args.n, cap)
-        if args.format == "json":
-            _print_json(
-                {"poly": args.poly, "n": args.n, "verdict": "PASS" if ok else "FAIL"}
-            )
-        else:
-            print("PASS" if ok else "FAIL")
-        return 0 if ok else 1
-    if args.action == "ee":
-        g = named_poly(args.poly)
-        if g.degree <= DEGREE_CAP:
-            ok = is_identity_EE(g)
-            mode = "exhaustive"
-        else:
-            ok = is_identity_EE_sampled(g, samples=200, seed=0)
-            mode = "sampled"
-        if args.format == "json":
-            _print_json(
-                {
-                    "poly": args.poly,
-                    "degree": g.degree,
-                    "mode": mode,
-                    "verdict": "PASS" if ok else "FAIL",
-                }
-            )
-        else:
-            print(f"{'PASS' if ok else 'FAIL'} ({mode})")
-        return 0 if ok else 1
-    raise ValueError(f"unknown oracle action {args.action!r}")
+        print(f"{'PASS' if ok else 'FAIL'} total={total} expected={basis.dim ** n}")
+    return 0 if ok else 1
+
+
+def _filter_with_basis(path: str, action: str) -> tuple[Filter, SuperBasis]:
+    filt = Filter.load(path)
+    if filt.ambient is None:
+        raise ValueError(f"filter file must set k and l for {action}")
+    return filt, SuperBasis(*filt.ambient)
+
+
+def _cmd_oracle_check_ideal(args) -> int:
+    filt, basis = _filter_with_basis(args.file, "check-ideal")
+    members = [
+        lam
+        for n in range(args.n_max + 1)
+        for lam in enumerate_partitions(n)
+        if filt.member(lam)
+    ]
+    ok = check_ideal(members, basis, args.n_max, _dim_cap())
+    if args.format == "json":
+        _print_json({"n_max": args.n_max, "verdict": "PASS" if ok else "FAIL"})
+    else:
+        print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _cmd_oracle_identity(args) -> int:
+    filt, basis = _filter_with_basis(args.file, "identity")
+    g = named_poly(args.poly)
+    ok = evaluate_identity(g, filt, basis, args.n, _dim_cap())
+    if args.format == "json":
+        _print_json(
+            {"poly": args.poly, "n": args.n, "verdict": "PASS" if ok else "FAIL"}
+        )
+    else:
+        print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _cmd_oracle_ee(args) -> int:
+    g = named_poly(args.poly)
+    if g.degree <= DEGREE_CAP:
+        ok = is_identity_EE(g)
+        mode = "exhaustive"
+    else:
+        ok = is_identity_EE_sampled(g, samples=200, seed=0)
+        mode = "sampled"
+    if args.format == "json":
+        _print_json(
+            {
+                "poly": args.poly,
+                "degree": g.degree,
+                "mode": mode,
+                "verdict": "PASS" if ok else "FAIL",
+            }
+        )
+    else:
+        print(f"{'PASS' if ok else 'FAIL'} ({mode})")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,17 +311,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("oracle", help="brute-force tensor checks")
-    p.add_argument(
-        "action", choices=["decompose", "check-ideal", "identity", "ee"]
-    )
-    p.add_argument("--file")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--poly")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_oracle)
+    actions = p.add_subparsers(dest="action", required=True)
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
+
+    a = actions.add_parser("decompose", parents=[text_or_json])
+    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--l", type=int, required=True)
+    a.add_argument("--n", type=int, required=True)
+    a.set_defaults(func=_cmd_oracle_decompose)
+
+    a = actions.add_parser("check-ideal", parents=[text_or_json])
+    a.add_argument("--file", required=True)
+    a.add_argument("--n-max", type=int, required=True)
+    a.set_defaults(func=_cmd_oracle_check_ideal)
+
+    a = actions.add_parser("identity", parents=[text_or_json])
+    a.add_argument("--file", required=True)
+    a.add_argument("--poly", required=True)
+    a.add_argument("--n", type=int, required=True)
+    a.set_defaults(func=_cmd_oracle_identity)
+
+    a = actions.add_parser("ee", parents=[text_or_json])
+    a.add_argument("--poly", required=True)
+    a.set_defaults(func=_cmd_oracle_ee)
 
     return parser
 

@@ -71,7 +71,10 @@ def _f_rec(lam: Partition) -> int:
 
 def schur_dim(lam, k: int, l: int) -> int:
     """Number of ``(k,l)``-semistandard tableaux of shape ``lam``."""
-    return _schur_dim(check_partition(lam), int(k), int(l))
+    k, l = int(k), int(l)
+    if k < 0 or l < 0:
+        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
+    return _schur_dim(check_partition(lam), k, l)
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,30 @@ representation is fully reduced and normalized, two equal subspaces
 always produce identical row lists, so subspace equality is plain
 comparison.  Elimination is fraction-free: rows are cross-multiplied
 and re-normalized, so no Fraction arithmetic happens in the hot path.
+
+A sparse vector is a ``dict`` that never stores a zero coefficient;
+:func:`add_terms` is the one place sums of such vectors are formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
+
+
+def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
+    """Add ``(key, coeff)`` pairs into ``out``, dropping keys that cancel.
+
+    Returns ``out`` itself, updated in place.
+    """
+    for key, c in terms:
+        nv = out.get(key, 0) + c
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
+    return out
 
 
 def intify(vec: dict) -> dict:
@@ -67,14 +85,10 @@ class EchelonBasis:
             if not c:
                 continue
             p = row[pivot]
-            out = {key: p * val for key, val in v.items()}
-            for key, rv in row.items():
-                nv = out.get(key, 0) - c * rv
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-            v = out
+            v = add_terms(
+                {key: p * val for key, val in v.items()},
+                [(key, -c * rv) for key, rv in row.items()],
+            )
         return v
 
     def contains(self, vec: dict) -> bool:
@@ -92,13 +106,10 @@ class EchelonBasis:
             c = row.get(pivot)
             if not c:
                 continue
-            new = {key: p * val for key, val in row.items()}
-            for key, rv in v.items():
-                nv = new.get(key, 0) - c * rv
-                if nv:
-                    new[key] = nv
-                else:
-                    new.pop(key, None)
+            new = add_terms(
+                {key: p * val for key, val in row.items()},
+                [(key, -c * rv) for key, rv in v.items()],
+            )
             _normalize(new)
             self._rows[idx] = (opiv, new)
         self._rows.append((pivot, v))

@@ -18,6 +18,12 @@ Everything downstream is spans of such vectors inside the full
 bases so that subspace equality is literal comparison.  Hard caps keep
 the ambient dimension at ``4096`` and symmetric-group degrees at ``7``;
 exceeding a cap raises :class:`CapExceeded`, never approximates.
+
+A tensor vector (and a group-algebra element) is a ``dict`` that never
+stores a zero coefficient.  Sums of such vectors go through
+:func:`filteralg.linalg.add_terms`, and :func:`star_group_algebra` is
+the only place the twisted action is applied: the per-permutation
+action, the module seeds and the total symmetrizers all call it.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
-from .linalg import EchelonBasis, intify
+from .linalg import EchelonBasis, add_terms, dense_rank, intify
 from .partitions import Partition, check_partition, enumerate_partitions
 
 DIM_CAP = 4096
@@ -83,17 +89,8 @@ def _check_cap(basis: SuperBasis, n: int, cap: int) -> None:
         )
 
 
-def super_degree(word: Word, basis: SuperBasis) -> int:
-    """Parity of the number of odd letters in the word."""
-    return sum(1 for z in word if z > basis.k) & 1
-
-
 # ---------------------------------------------------------------------------
 # Permutations and the sign functions.
-
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -128,33 +125,29 @@ def star_word(word: Word, sigma: Perm, basis: SuperBasis) -> tuple[int, Word]:
     return f_I(sigma, odd), tuple(word[s - 1] for s in sigma)
 
 
-def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
-    """Twisted action extended linearly to a tensor vector."""
-    n = len(sigma)
-    out: dict = {}
-    for w, c in vec.items():
-        if len(w) != n:
-            raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
-        sgn, w2 = star_word(w, sigma, basis)
-        nv = out.get(w2, 0) + sgn * c
-        if nv:
-            out[w2] = nv
-        else:
-            out.pop(w2, None)
-    return out
-
-
 def star_group_algebra(vec: dict, element: dict, basis: SuperBasis) -> dict:
     """Apply a group-algebra element ``sum c_sigma sigma`` on the right."""
     out: dict = {}
-    for sigma, c in element.items():
-        for w2, v in star_action(vec, sigma, basis).items():
-            nv = out.get(w2, 0) + c * v
+    if not element:
+        return out
+    n = len(next(iter(element)))
+    for w, a in vec.items():
+        if len(w) != n:
+            raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
+        # The accumulate stays inline: this loop is the oracle's hot path.
+        for sigma, c in element.items():
+            sgn, w2 = star_word(w, sigma, basis)
+            nv = out.get(w2, 0) + sgn * c * a
             if nv:
                 out[w2] = nv
             else:
                 out.pop(w2, None)
     return out
+
+
+def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
+    """Twisted action of one permutation extended linearly to a tensor vector."""
+    return star_group_algebra(vec, {sigma: 1}, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +186,8 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
     cols = [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
     rplus = {p: 1 for p in _block_permutations(rows, n)}
     cminus = {p: perm_sign(p) for p in _block_permutations(cols, n)}
-    out: dict = {}
-    for p, cp in rplus.items():
-        for q, cq in cminus.items():
-            key = compose(p, q)
-            nv = out.get(key, 0) + cp * cq
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
+    pairs = product(rplus.items(), cminus.items())
+    return add_terms({}, ((compose(p, q), cp * cq) for (p, cp), (q, cq) in pairs))
 
 
 def symmetrizer(kind: str, n: Optional[int] = None, tableau=None) -> dict:
@@ -276,18 +261,6 @@ def _adjacent_transpositions(n: int) -> list[Perm]:
     return out
 
 
-def _apply_ga_to_word(word: Word, element: dict, basis: SuperBasis) -> dict:
-    out: dict = {}
-    for sigma, c in element.items():
-        sgn, w2 = star_word(word, sigma, basis)
-        nv = out.get(w2, 0) + sgn * c
-        if nv:
-            out[w2] = nv
-        else:
-            out.pop(w2, None)
-    return out
-
-
 def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspace:
     """Span of the tableau-symmetrized words, closed under the action.
 
@@ -312,7 +285,7 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> TensorSubspace:
     sub = TensorSubspace(n, basis.dim**n)
     pending: deque[dict] = deque()
     for w in basis.words(n):
-        v = _apply_ga_to_word(w, e, basis)
+        v = star_group_algebra({w: 1}, e, basis)
         if v and sub._insert_int(v):
             pending.append(v)
     trans = _adjacent_transpositions(n)
@@ -330,11 +303,19 @@ def ideal_subspace(
 ) -> TensorSubspace:
     """Degree-``n`` slice of the subspace attached to the filter members."""
     _check_cap(basis, n, cap)
+    return _blocks_span(
+        [lam for lam in enumerate_partitions(n) if omega.member(lam)], basis, n, cap
+    )
+
+
+def _blocks_span(
+    shapes: Iterable[Partition], basis: SuperBasis, n: int, cap: int
+) -> TensorSubspace:
+    """Sum of the ``module_W`` blocks of the given size-``n`` shapes."""
     sub = TensorSubspace(n, basis.dim**n)
-    for lam in enumerate_partitions(n):
-        if omega.member(lam):
-            for row in module_W(lam, basis, n, cap).rows():
-                sub._insert_int(row)
+    for lam in shapes:
+        for row in module_W(lam, basis, n, cap).rows():
+            sub._insert_int(row)
     return sub
 
 
@@ -351,14 +332,10 @@ def check_ideal(
     """
     _check_cap(basis, n_max, cap)
     members = {check_partition(m) for m in omega_set}
-    slices = {}
-    for n in range(n_max + 1):
-        sub = TensorSubspace(n, basis.dim**n)
-        for lam in members:
-            if sum(lam) == n:
-                for row in module_W(lam, basis, n, cap).rows():
-                    sub._insert_int(row)
-        slices[n] = sub
+    slices = {
+        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n, cap)
+        for n in range(n_max + 1)
+    }
     for n in range(n_max):
         target = slices[n + 1]
         for row in slices[n].rows():
@@ -430,14 +407,7 @@ def free_var(i: int) -> dict:
 
 
 def free_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for w, c in b.items():
-        nv = out.get(w, 0) + c
-        if nv:
-            out[w] = nv
-        else:
-            out.pop(w, None)
-    return out
+    return add_terms(dict(a), b.items())
 
 
 def free_scale(a: dict, s) -> dict:
@@ -445,16 +415,9 @@ def free_scale(a: dict, s) -> dict:
 
 
 def free_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            nv = out.get(w, 0) + ca * cb
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
-    return out
+    return add_terms(
+        {}, ((wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items())
+    )
 
 
 def free_commutator(a: dict, b: dict) -> dict:
@@ -505,12 +468,7 @@ def multilinearize(poly: dict) -> MultilinearPoly:
             for v, labs in zip(variables, assignment):
                 for p, lb in zip(pos_by_var[v], labs):
                     labels[p] = lb
-            key = tuple(labels)
-            nv = coeffs.get(key, 0) + c
-            if nv:
-                coeffs[key] = nv
-            else:
-                coeffs.pop(key, None)
+            add_terms(coeffs, [(tuple(labels), c)])
     return MultilinearPoly(d, coeffs)
 
 
@@ -598,6 +556,17 @@ def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _substitute(items: Iterable[tuple[Perm, int]], words: Sequence[Word]) -> dict:
+    """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at ``x_i = words[i-1]``."""
+    return add_terms(
+        {},
+        (
+            (tuple(chain.from_iterable(words[s - 1] for s in sigma)), c)
+            for sigma, c in items
+        ),
+    )
+
+
 def evaluate_identity(
     g: MultilinearPoly, omega: Filter, basis: SuperBasis, n: int, cap: int = DIM_CAP
 ) -> bool:
@@ -614,14 +583,7 @@ def evaluate_identity(
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
     for comp in _compositions(n, g.degree):
         for tup in product(*[words_by_len[m] for m in comp]):
-            val: dict = {}
-            for sigma, c in items:
-                w = tuple(chain.from_iterable(tup[s - 1] for s in sigma))
-                nv = val.get(w, 0) + c
-                if nv:
-                    val[w] = nv
-                else:
-                    val.pop(w, None)
+            val = _substitute(items, tup)
             if val and not ideal.contains(val):
                 return False
     return True
@@ -640,11 +602,10 @@ def is_identity_EE(g: MultilinearPoly, cap: int = DEGREE_CAP) -> bool:
     items = g.int_coeffs()
     if not items:
         return True
-    subsets = [frozenset(s) for m in range(d + 1) for s in _subsets(d, m)]
-    fvals = [[f_I(sigma, sub) for sigma, _ in items] for sub in subsets]
-    for i1 in range(len(subsets)):
+    fvals = _subset_signs([sigma for sigma, _ in items], d)
+    for i1 in range(len(fvals)):
         f1 = fvals[i1]
-        for i2 in range(i1, len(subsets)):
+        for i2 in range(i1, len(fvals)):
             f2 = fvals[i2]
             total = 0
             for t, (_, c) in enumerate(items):
@@ -654,10 +615,13 @@ def is_identity_EE(g: MultilinearPoly, cap: int = DEGREE_CAP) -> bool:
     return True
 
 
-def _subsets(d: int, m: int):
-    from itertools import combinations
-
-    return combinations(range(1, d + 1), m)
+def _subset_signs(perms: Sequence[Perm], d: int) -> list[list[int]]:
+    """``f_I(sigma)`` for every subset ``I`` of ``1..d`` (by size, then
+    lexicographically) and every ``sigma`` in ``perms``."""
+    subsets = [
+        frozenset(s) for m in range(d + 1) for s in combinations(range(1, d + 1), m)
+    ]
+    return [[f_I(sigma, sub) for sigma in perms] for sub in subsets]
 
 
 def is_identity_EE_sampled(
@@ -694,34 +658,19 @@ def ee_identity_kernel_dim(d: int, cap: int = KERNEL_DEGREE_CAP) -> int:
     """
     if d > cap:
         raise CapExceeded(f"degree {d} exceeds cap {cap}")
-    perms = list(permutations(range(1, d + 1)))
-    subsets = [frozenset(s) for m in range(d + 1) for s in _subsets(d, m)]
-    fcols = [[f_I(p, sub) for p in perms] for sub in subsets]
+    fcols = _subset_signs(list(permutations(range(1, d + 1))), d)
     rows = []
-    for i1 in range(len(subsets)):
-        for i2 in range(i1, len(subsets)):
-            rows.append(
-                [fcols[i1][t] * fcols[i2][t] for t in range(len(perms))]
-            )
-    from .linalg import dense_rank
-
+    for i1 in range(len(fcols)):
+        for i2 in range(i1, len(fcols)):
+            rows.append([a * b for a, b in zip(fcols[i1], fcols[i2])])
     return factorial(d) - dense_rank(rows)
 
 
 @lru_cache(maxsize=None)
 def _word_symmetrized(word: Word, k: int, l: int, signed: bool) -> tuple:
-    basis = SuperBasis(k, l)
     n = len(word)
-    out: dict = {}
-    for sigma in permutations(range(1, n + 1)):
-        sgn, w2 = star_word(word, sigma, basis)
-        if signed:
-            sgn *= perm_sign(sigma)
-        nv = out.get(w2, 0) + sgn
-        if nv:
-            out[w2] = nv
-        else:
-            out.pop(w2, None)
+    element = sign_symmetrizer(n) if signed else full_symmetrizer(n)
+    out = star_group_algebra({word: 1}, element, SuperBasis(k, l))
     return tuple(sorted(out.items()))
 
 
@@ -749,23 +698,16 @@ def check_annihilation(
     n = sum(len(w) for w in words)
     if n > cap:
         raise CapExceeded(f"total degree {n} exceeds cap {cap}")
-    value: dict = {}
-    for sigma, c in g.int_coeffs():
-        w = tuple(chain.from_iterable(words[s - 1] for s in sigma))
-        nv = value.get(w, 0) + c
-        if nv:
-            value[w] = nv
-        else:
-            value.pop(w, None)
+    value = _substitute(g.int_coeffs(), words)
     for signed in (False, True):
-        acc: dict = {}
-        for w, c in value.items():
-            for w2, s in _word_symmetrized(w, basis.k, basis.l, signed):
-                nv = acc.get(w2, 0) + c * s
-                if nv:
-                    acc[w2] = nv
-                else:
-                    acc.pop(w2, None)
+        acc = add_terms(
+            {},
+            (
+                (w2, c * s)
+                for w, c in value.items()
+                for w2, s in _word_symmetrized(w, basis.k, basis.l, signed)
+            ),
+        )
         if acc:
             return False
     return True

@@ -143,6 +143,11 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["filter", "member", "--file", str(tmp_path / "absent.json")]) == 2
     assert main(["nonsense"]) == 2
     assert main(["filter", "member", "--file", str(tmp_path / "absent.json"), "--lambda", "1"]) == 2
+    assert main(["oracle", "decompose", "--k", "2", "--l", "1"]) == 2
+    assert main(["oracle", "ee"]) == 2
+    assert main(["oracle", "identity", "--poly", "s4", "--n", "4"]) == 2
+    assert main(["oracle", "check-ideal", "--file", str(tmp_path / "absent.json")]) == 2
+    assert main(["dims", "--lambda", "3", "--k", "-1", "--l", "0"]) == 2
 
 
 def test_cap_exit_code(tmp_path, capsys):

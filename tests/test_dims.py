@@ -112,6 +112,13 @@ def test_w_dim_examples():
     assert rec.w == rec.f * rec.schur
 
 
+@pytest.mark.parametrize("k, l", [(-2, 1), (-1, 0), (0, -1), (2, -3)])
+def test_negative_alphabet_sizes_rejected(k, l):
+    for fn in (schur_dim, w_dim, dimension_record):
+        with pytest.raises(ValueError):
+            fn((3,), k, l)
+
+
 def test_hs_eval_examples():
     assert hs_eval((1,), (Fraction(1, 2),), (Fraction(1, 3),)) == Fraction(5, 6)
     assert hs_eval((2,), (2,), (3,)) == 10

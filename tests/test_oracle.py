@@ -1,7 +1,10 @@
+import hashlib
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from filteralg.dims import w_dim
 from filteralg.filters import Filter
@@ -24,6 +27,7 @@ from filteralg.oracle import (
     standard_tableau,
     star_action,
     star_group_algebra,
+    star_word,
     symmetrizer,
     tableau_symmetrizer,
 )
@@ -106,6 +110,36 @@ def test_antisymmetrizer_pins_the_odd_sign():
     assert out == {(1, 2): 1, (2, 1): -1}
 
 
+@st.composite
+def _action_inputs(draw):
+    k = draw(st.integers(0, 2))
+    l = draw(st.integers(0 if k else 1, 2))
+    n = draw(st.integers(1, 4))
+    letters = st.integers(1, k + l)
+    words = st.tuples(*[letters] * n)
+    # Coefficients from a small set, over few words, so that terms cancel.
+    coeffs = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)])
+    vec = draw(st.dictionaries(words, coeffs, max_size=6))
+    perms = st.permutations(range(1, n + 1)).map(tuple)
+    element = draw(st.dictionaries(perms, st.sampled_from([1, -1, 2]), max_size=6))
+    return SuperBasis(k, l), vec, element
+
+
+@given(_action_inputs())
+@example((B20, {(1, 1): Fraction(1, 2)}, sign_symmetrizer(2)))
+def test_star_group_algebra_matches_reference(inputs):
+    basis, vec, element = inputs
+    ref: dict = {}
+    for w, a in vec.items():
+        for sigma, c in element.items():
+            sgn, w2 = star_word(w, sigma, basis)
+            ref[w2] = ref.get(w2, 0) + sgn * c * a
+    out = star_group_algebra(vec, element, basis)
+    assert out == {w: c for w, c in ref.items() if c}
+    for sigma in element:
+        assert star_action(vec, sigma, basis) == star_group_algebra(vec, {sigma: 1}, basis)
+
+
 def test_module_dims_examples():
     assert module_W((2,), B20, 2).dim == 3
     assert module_W((1, 1), B11, 2).dim == 2
@@ -158,12 +192,12 @@ def test_module_independent_of_tableau_choice():
 
 def _span_of(e, basis, n):
     from filteralg.linalg import EchelonBasis
-    from filteralg.oracle import _apply_ga_to_word, _adjacent_transpositions
+    from filteralg.oracle import _adjacent_transpositions
 
     ech = EchelonBasis()
     pending = []
     for w in basis.words(n):
-        v = _apply_ga_to_word(w, e, basis)
+        v = star_group_algebra({w: 1}, e, basis)
         if v and ech.insert(v):
             pending.append(v)
     while pending:
@@ -173,6 +207,26 @@ def _span_of(e, basis, n):
             if ech.insert(moved):
                 pending.append(moved)
     return ech
+
+
+# sha256 of the canonical echelon rows of every block with |lam| <= 5;
+# equal dimensions alone would not prove equal subspaces.
+MODULE_ROW_DIGESTS = {
+    (2, 0): "1bcf9698fc407582c3c1b9c6e82be1356a82323f8fc743f2731e64e44023c992",
+    (1, 1): "5d040114f645d3069ee34a7d2e1db16bd23e1b07a32d2573c230030d029ebfed",
+    (2, 1): "08b5f0868018c5573c6b31e9ca16fab05873e328d6727ea9091b6d9e7fb11ee8",
+}
+
+
+@pytest.mark.parametrize("kl", sorted(MODULE_ROW_DIGESTS))
+def test_module_rows_pinned(kl):
+    basis = SuperBasis(*kl)
+    h = hashlib.sha256()
+    for n in range(6):
+        for lam in enumerate_partitions(n):
+            rows = module_W(lam, basis, n).rows()
+            h.update(repr((lam, [sorted(r.items()) for r in rows])).encode())
+    assert h.hexdigest() == MODULE_ROW_DIGESTS[kl]
 
 
 def test_ideal_subspace_examples():
