@@ -234,7 +234,8 @@ def _cmd_oracle_check_ideal(args) -> int:
 
 def _cmd_oracle_identity(args) -> int:
     filt, basis = _filter_with_basis(args.file, "identity")
-    g = named_poly(args.poly)
+    # Above degree --n no substitution of total degree n exists.
+    g = named_poly(args.poly, max_degree=args.n)
     ok = evaluate_identity(g, filt, basis, args.n, _dim_cap())
     if args.format == "json":
         _print_json(

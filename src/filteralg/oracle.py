@@ -16,8 +16,16 @@ Conventions, fixed once and pinned by the associativity and sign tests:
 Everything downstream is spans of such vectors inside the full
 ``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
 bases so that subspace equality is literal comparison.  Hard caps keep
-the ambient dimension at ``4096`` and symmetric-group degrees at ``7``;
-exceeding a cap raises :class:`CapExceeded`, never approximates.
+the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096``, and the degree
+of the sums over a whole symmetric group (the EE criterion and
+:func:`check_annihilation`) at ``DEGREE_CAP = 7``; exceeding a cap
+raises :class:`CapExceeded`, never approximates.
+
+The isotypic blocks (:func:`module_W`) never expand a Young
+symmetrizer: the tableau's row and column groups act in two passes, the
+larger one as a sum over each seed word's distinct rearrangements, one
+seed per orbit.  Their seeding work is at most ``(k+l)^n`` times the
+order of the smaller group, so ``DIM_CAP`` bounds it as well.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
@@ -164,28 +172,40 @@ def sign_symmetrizer(n: int) -> dict:
     return {p: perm_sign(p) for p in permutations(range(1, n + 1))}
 
 
-def _block_permutations(blocks: Sequence[Sequence[int]], n: int) -> list[Perm]:
-    """All permutations of ``1..n`` preserving each block setwise."""
-    out = []
+def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
+    """Row blocks and column blocks of a bijective tableau filling.
+
+    The row group ``R`` and the column group ``C`` are the permutations
+    preserving each row block, respectively each column block, setwise.
+    """
+    entries = [e for row in rows for e in row]
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        raise ValueError("tableau must be a bijective filling with 1..n")
+    ncols = max((len(r) for r in rows), default=0)
+    cols = [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
+    return rows, cols
+
+
+def _group_sum(blocks: Sequence[Sequence[int]], n: int, signed: bool) -> dict:
+    """Sum of the permutations of ``1..n`` preserving each block setwise:
+    ``R+`` of the row blocks, or ``C-`` of the column blocks (``signed``)."""
+    out = {}
     for assignment in product(*[permutations(b) for b in blocks]):
         img = list(range(n + 1))
         for block, perm in zip(blocks, assignment):
             for src, dst in zip(block, perm):
                 img[src] = dst
-        out.append(tuple(img[1:]))
+        p = tuple(img[1:])
+        out[p] = perm_sign(p) if signed else 1
     return out
 
 
 def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
     """Row sum times signed column sum for a bijective tableau filling."""
-    entries = [e for row in rows for e in row]
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        raise ValueError("tableau must be a bijective filling with 1..n")
-    ncols = max((len(r) for r in rows), default=0)
-    cols = [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
-    rplus = {p: 1 for p in _block_permutations(rows, n)}
-    cminus = {p: perm_sign(p) for p in _block_permutations(cols, n)}
+    rows, cols = _tableau_blocks(rows)
+    n = sum(len(r) for r in rows)
+    rplus = _group_sum(rows, n, signed=False)
+    cminus = _group_sum(cols, n, signed=True)
     pairs = product(rplus.items(), cminus.items())
     return add_terms({}, ((compose(p, q), cp * cq) for (p, cp), (q, cq) in pairs))
 
@@ -265,10 +285,31 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspa
     """Span of the tableau-symmetrized words, closed under the action.
 
     This is the isotypic block of the shape inside the degree-``n``
-    slice, computed from scratch: seed with ``w * e_T`` for every word
-    ``w`` and one fixed standard tableau, then saturate under the
-    adjacent transpositions.  Results are cached per ``(shape, k, l)``
-    and must be treated as read-only.
+    slice, computed directly: seed with ``w * x`` for every word
+    ``w``, then saturate under the adjacent transpositions.  Here ``x``
+    is ``e_T = R+ C-`` for the row-major standard tableau ``T`` when the
+    row group ``R`` is at least as large as the column group ``C``, and
+    ``C- R+`` otherwise.  Both are quasi-idempotents of the same
+    irreducible, so both generate the same two-sided ideal of the group
+    algebra and hence the same block; the canonical echelon rows do not
+    depend on the choice.
+
+    The symmetrizer is never expanded.  Since the action is a right
+    action, ``w * x`` is two passes: the larger group ``G`` first, then
+    the smaller group ``H``.  Words in one ``G``-orbit give the same
+    ``w * G`` up to sign, so there is one seed per orbit, i.e. per
+    choice of letter multiset in each block of ``G``, and ``w * G`` is a
+    sum over the seed's distinct rearrangements times the order of its
+    stabiliser.  The stabiliser cancels the seed outright when a row
+    block repeats an odd letter (``G = R``) or a column block repeats an
+    even letter (``G = C``); such orbits are skipped, and so are the
+    terms of ``w * G`` that ``H`` cancels by the same rule.  The seeding
+    therefore costs at most ``(k+l)^n`` twisted actions for the first
+    pass and ``(k+l)^n * |H|`` for the second, so ``cap``, which bounds
+    the ambient dimension ``(k+l)^n``, bounds the work as well.
+
+    Results are cached per ``(shape, k, l)`` and must be treated as
+    read-only.
     """
     lam = check_partition(lam)
     if sum(lam) != n:
@@ -281,11 +322,16 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspa
 def _module_W_cached(lam: Partition, k: int, l: int) -> TensorSubspace:
     basis = SuperBasis(k, l)
     n = sum(lam)
-    e = tableau_symmetrizer(standard_tableau(lam))
+    rows, cols = _tableau_blocks(standard_tableau(lam))
+    rows_first = _group_order(rows) >= _group_order(cols)
+    first, second = (rows, cols) if rows_first else (cols, rows)
+    second_sum = _group_sum(second, n, signed=rows_first)
     sub = TensorSubspace(n, basis.dim**n)
     pending: deque[dict] = deque()
-    for w in basis.words(n):
-        v = star_group_algebra({w: 1}, e, basis)
+    for seed, orbit_sum in _orbit_sums(first, basis, n, signed=not rows_first):
+        v = star_group_algebra({seed: 1}, orbit_sum, basis)
+        v = {w: c for w, c in v.items() if not _killed(w, second, rows_first, basis)}
+        v = star_group_algebra(v, second_sum, basis)
         if v and sub._insert_int(v):
             pending.append(v)
     trans = _adjacent_transpositions(n)
@@ -296,6 +342,69 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> TensorSubspace:
             if sub._insert_int(moved):
                 pending.append(moved)
     return sub
+
+
+def _group_order(blocks: Sequence[Sequence[int]]) -> int:
+    """Order of the group of permutations preserving each block setwise."""
+    return prod(factorial(len(b)) for b in blocks)
+
+
+def _orbit_sums(
+    blocks: Sequence[Sequence[int]], basis: SuperBasis, n: int, signed: bool
+) -> Iterator[tuple[Word, dict]]:
+    """One ``(seed, element)`` pair per orbit of the block group on words.
+
+    The group ``G`` preserving each block rearranges the letters inside
+    each block, so an orbit is named by the multiset of letters in each
+    block.  ``element`` holds one permutation ``p`` of ``G`` per word of
+    the orbit, carrying the seed onto that word, with coefficient ``1``
+    (``G+``) or ``sign(p)`` (``G-``, ``signed=True``).  Then
+    ``seed * element`` is ``seed * G+`` (or ``seed * G-``) divided by the
+    order of the seed's stabiliser.  Orbits whose stabiliser cancels the
+    seed (see :func:`_killed`) are left out.
+    """
+    orbits: dict = {}
+    for w in basis.words(n):
+        key = tuple(tuple(sorted(w[p - 1] for p in b)) for b in blocks)
+        orbits.setdefault(key, []).append(w)
+    for words in orbits.values():
+        seed = words[0]
+        if _killed(seed, blocks, signed, basis):
+            continue
+        element = {}
+        for w in words:
+            p = _carrying(seed, w, blocks, n)
+            element[p] = perm_sign(p) if signed else 1
+        yield seed, element
+
+
+def _killed(
+    word: Word, blocks: Sequence[Sequence[int]], signed: bool, basis: SuperBasis
+) -> bool:
+    """Whether ``word * G+`` (or ``word * G-``, ``signed=True``) is zero.
+
+    It is exactly when some block repeats an odd letter (``G+``) or an
+    even letter (``G-``): swapping the two repeats fixes the word but
+    flips the sign of its term, so the stabiliser sums to zero.
+    """
+    cancelling = 0 if signed else 1
+    for b in blocks:
+        letters = [word[p - 1] for p in b if basis.parity(word[p - 1]) == cancelling]
+        if len(set(letters)) < len(letters):
+            return True
+    return False
+
+
+def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]], n: int) -> Perm:
+    """A block-preserving ``p`` with ``word[i] = seed[p(i)]``: ``seed * p ~ word``."""
+    img = [0] * n
+    for block in blocks:
+        sources: dict = {}
+        for pos in block:
+            sources.setdefault(seed[pos - 1], []).append(pos)
+        for pos in block:
+            img[pos - 1] = sources[word[pos - 1]].pop()
+    return tuple(img)
 
 
 def ideal_subspace(
@@ -530,15 +639,29 @@ _NAMED_POLYS = {
 }
 
 
-def named_poly(name: str) -> MultilinearPoly:
+def named_poly(name: str, max_degree: Optional[int] = None) -> MultilinearPoly:
     """Built-in polynomials: ``commutators:j``, ``popov5a``, ``popov5b``,
-    ``br-cube``, ``s4``, ``s3cube``."""
+    ``br-cube``, ``s4``, ``s3cube``.
+
+    A polynomial of degree above ``max_degree`` raises ``ValueError``;
+    ``commutators:j`` is refused from its name, before its ``2^j``
+    monomials are built.
+    """
     if name.startswith("commutators:"):
-        return commutator_product(int(name.split(":", 1)[1]))
+        j = int(name.split(":", 1)[1])
+        _check_degree(name, 2 * j, max_degree)
+        return commutator_product(j)
     try:
-        return _NAMED_POLYS[name]()
+        g = _NAMED_POLYS[name]()
     except KeyError:
         raise ValueError(f"unknown polynomial {name!r}") from None
+    _check_degree(name, g.degree, max_degree)
+    return g
+
+
+def _check_degree(name: str, degree: int, max_degree: Optional[int]) -> None:
+    if max_degree is not None and degree > max_degree:
+        raise ValueError(f"{name} has degree {degree}, above the limit {max_degree}")
 
 
 def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:

@@ -35,6 +35,8 @@ def series(omega: Filter, n_max: int) -> DimensionSeries:
     """The sequence ``d_0 .. d_{n_max}``."""
     if omega.ambient is None:
         raise ValueError("series requires an ambient (k, l)")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     k, l = omega.ambient
     values = tuple(dim_quotient(omega, n) for n in range(n_max + 1))
     return DimensionSeries(filter=omega, k=k, l=l, values=values)

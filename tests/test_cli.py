@@ -138,7 +138,7 @@ def test_oracle_ee(capsys):
     assert data["mode"] == "sampled" and data["verdict"] == "PASS"
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, sym_file, capsys):
     assert main(["lr", "--mu", "1,2", "--lam", "1"]) == 2
     assert main(["filter", "member", "--file", str(tmp_path / "absent.json")]) == 2
     assert main(["nonsense"]) == 2
@@ -148,6 +148,18 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["oracle", "identity", "--poly", "s4", "--n", "4"]) == 2
     assert main(["oracle", "check-ideal", "--file", str(tmp_path / "absent.json")]) == 2
     assert main(["dims", "--lambda", "3", "--k", "-1", "--l", "0"]) == 2
+    assert main(["growth", "--file", sym_file, "--n-max", "-3"]) == 2
+    assert main(["series", "--file", sym_file, "--n-max", "-1"]) == 2
+    assert "n_max must be nonnegative" in capsys.readouterr().err
+
+
+def test_identity_degree_above_n_is_refused_before_building(sym_file, capsys):
+    # commutators:30 has 2^30 monomials; its degree 60 is read from the name.
+    argv = ["oracle", "identity", "--file", sym_file, "--poly", "commutators:30", "--n", "4"]
+    assert main(argv) == 2
+    assert "degree 60" in capsys.readouterr().err
+    argv = ["oracle", "identity", "--file", sym_file, "--poly", "br-cube", "--n", "5"]
+    assert main(argv) == 2
 
 
 def test_cap_exit_code(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filteralg.dims import w_dim
 from filteralg.filters import Filter
@@ -209,24 +210,87 @@ def _span_of(e, basis, n):
     return ech
 
 
-# sha256 of the canonical echelon rows of every block with |lam| <= 5;
-# equal dimensions alone would not prove equal subspaces.
+# sha256 of the canonical echelon rows of every block with |lam| <= 5,
+# and separately of every block with |lam| = 6, recorded from the code
+# that applied the expanded tableau symmetrizer to every word; equal
+# dimensions alone would not prove equal subspaces.
 MODULE_ROW_DIGESTS = {
-    (2, 0): "1bcf9698fc407582c3c1b9c6e82be1356a82323f8fc743f2731e64e44023c992",
-    (1, 1): "5d040114f645d3069ee34a7d2e1db16bd23e1b07a32d2573c230030d029ebfed",
-    (2, 1): "08b5f0868018c5573c6b31e9ca16fab05873e328d6727ea9091b6d9e7fb11ee8",
+    (2, 0): (
+        "1bcf9698fc407582c3c1b9c6e82be1356a82323f8fc743f2731e64e44023c992",
+        "8f8d0699a57018587b2f26ebb51af2c3f20443f12dfac53cf328dbdfeb7bba21",
+    ),
+    (1, 1): (
+        "5d040114f645d3069ee34a7d2e1db16bd23e1b07a32d2573c230030d029ebfed",
+        "8667aeb29452f86d56845b0599dd8cf83ffe78e4b6429681b62a2c849ab9bad5",
+    ),
+    (2, 1): (
+        "08b5f0868018c5573c6b31e9ca16fab05873e328d6727ea9091b6d9e7fb11ee8",
+        "4371c59492fe1263b8a27af18d51febae94e1358a71720c22a3c9821b8e68838",
+    ),
 }
+
+
+def _rows_digest(blocks, basis):
+    h = hashlib.sha256()
+    for lam in blocks:
+        rows = module_W(lam, basis, sum(lam)).rows()
+        h.update(repr((lam, [sorted(r.items()) for r in rows])).encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("kl", sorted(MODULE_ROW_DIGESTS))
 def test_module_rows_pinned(kl):
     basis = SuperBasis(*kl)
-    h = hashlib.sha256()
-    for n in range(6):
-        for lam in enumerate_partitions(n):
-            rows = module_W(lam, basis, n).rows()
-            h.update(repr((lam, [sorted(r.items()) for r in rows])).encode())
-    assert h.hexdigest() == MODULE_ROW_DIGESTS[kl]
+    upto5 = [lam for n in range(6) for lam in enumerate_partitions(n)]
+    assert _rows_digest(upto5, basis) == MODULE_ROW_DIGESTS[kl][0]
+    assert _rows_digest(enumerate_partitions(6), basis) == MODULE_ROW_DIGESTS[kl][1]
+
+
+def test_large_block_rows_pinned():
+    assert (
+        _rows_digest([(5, 3)], B20)
+        == "b992bedc3123ac4ed0ef1109f8777e923053564cba13a65f286c733f95adb7aa"
+    )
+
+
+@st.composite
+def _block_inputs(draw):
+    n = draw(st.integers(0, 5))
+    lam = draw(st.sampled_from(list(enumerate_partitions(n))))
+    k = draw(st.integers(0, 3))
+    l = draw(st.integers(0, 3 - k))
+    return lam, SuperBasis(k, l)
+
+
+@settings(deadline=None)
+@given(_block_inputs())
+@example(((3, 1, 1), B21))  # |R| = |C|: the row group acts first
+@example(((2, 2, 1), SuperBasis(0, 3)))  # |C| > |R|: the column group first
+def test_module_matches_expanded_symmetrizer(inputs):
+    # The reference applies the expanded R+ C- to every word.
+    lam, basis = inputs
+    n = sum(lam)
+    ref = _span_of(tableau_symmetrizer(standard_tableau(lam)), basis, n)
+    assert module_W(lam, basis, n).rows() == ref.rows()
+
+
+@pytest.mark.parametrize("lam, kl", [((12,), (2, 0)), ((1,) * 12, (0, 2))])
+def test_cap_bounds_module_work(lam, kl, monkeypatch):
+    # An expanded symmetrizer would apply all 12! permutations to each word.
+    from filteralg import oracle
+
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 200_000, "module_W work is not bounded by the ambient"
+        return star_word(*args)
+
+    monkeypatch.setattr(oracle, "star_word", counted)
+    start = time.perf_counter()
+    assert module_W(lam, SuperBasis(*kl), 12).dim == w_dim(lam, *kl)
+    assert time.perf_counter() - start < 10
 
 
 def test_ideal_subspace_examples():
