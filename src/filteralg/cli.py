@@ -96,54 +96,57 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter_minimize(args) -> int:
     filt = Filter.load(args.file)
-    if args.action == "minimize":
-        if args.format == "json":
-            _print_json(filt.to_json())
-        else:
-            for g in filt.generators:
-                print(display_partition(g))
-        return 0
-    if args.action == "member":
-        if args.lam is None:
-            raise ValueError("member requires --lambda")
-        verdict = filt.member(parse_partition(args.lam))
-        if args.format == "json":
-            _print_json({"member": verdict})
-        else:
-            print("true" if verdict else "false")
-        return 0 if verdict else 1
-    if args.action == "complement":
-        if args.n is None:
-            raise ValueError("complement requires --n")
-        shapes = filt.complement_at(args.n)
-        if args.format == "json":
-            _print_json({"n": args.n, "complement": [list(s) for s in shapes]})
-        else:
-            for s in shapes:
-                print(display_partition(s))
-        return 0
-    if args.action == "hr":
-        value = filt.hr()
-        if args.format == "json":
-            _print_json({"hr": value})
-        else:
-            print(value)
-        return 0
-    if args.action == "pi":
-        if getattr(args, "super"):
-            witness = filt.is_pi_super()
-            label = "b"
-        else:
-            witness = filt.is_pi_classical()
-            label = "c"
-        if args.format == "json":
-            _print_json({"pi": witness is not None, label: witness})
-        else:
-            print(f"{label}={witness}" if witness is not None else "not-pi")
-        return 0 if witness is not None else 1
-    raise ValueError(f"unknown filter action {args.action!r}")
+    if args.format == "json":
+        _print_json(filt.to_json())
+    else:
+        for g in filt.generators:
+            print(display_partition(g))
+    return 0
+
+
+def _cmd_filter_member(args) -> int:
+    verdict = Filter.load(args.file).member(parse_partition(args.lam))
+    if args.format == "json":
+        _print_json({"member": verdict})
+    else:
+        print("true" if verdict else "false")
+    return 0 if verdict else 1
+
+
+def _cmd_filter_complement(args) -> int:
+    shapes = Filter.load(args.file).complement_at(args.n)
+    if args.format == "json":
+        _print_json({"n": args.n, "complement": [list(s) for s in shapes]})
+    else:
+        for s in shapes:
+            print(display_partition(s))
+    return 0
+
+
+def _cmd_filter_hr(args) -> int:
+    value = Filter.load(args.file).hr()
+    if args.format == "json":
+        _print_json({"hr": value})
+    else:
+        print(value)
+    return 0
+
+
+def _cmd_filter_pi(args) -> int:
+    filt = Filter.load(args.file)
+    if getattr(args, "super"):
+        witness = filt.is_pi_super()
+        label = "b"
+    else:
+        witness = filt.is_pi_classical()
+        label = "c"
+    if args.format == "json":
+        _print_json({"pi": witness is not None, label: witness})
+    else:
+        print(f"{label}={witness}" if witness is not None else "not-pi")
+    return 0 if witness is not None else 1
 
 
 def _cmd_series(args) -> int:
@@ -289,16 +292,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_dims)
 
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
+
     p = sub.add_parser("filter", help="filter queries")
-    p.add_argument(
-        "action", choices=["minimize", "member", "complement", "hr", "pi"]
-    )
-    p.add_argument("--file", required=True)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--n", type=int)
-    p.add_argument("--super", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_filter)
+    actions = p.add_subparsers(dest="action", required=True)
+    filter_file = argparse.ArgumentParser(add_help=False, parents=[text_or_json])
+    filter_file.add_argument("--file", required=True)
+
+    a = actions.add_parser("minimize", parents=[filter_file])
+    a.set_defaults(func=_cmd_filter_minimize)
+
+    a = actions.add_parser("member", parents=[filter_file])
+    a.add_argument("--lambda", dest="lam", required=True)
+    a.set_defaults(func=_cmd_filter_member)
+
+    a = actions.add_parser("complement", parents=[filter_file])
+    a.add_argument("--n", type=int, required=True)
+    a.set_defaults(func=_cmd_filter_complement)
+
+    a = actions.add_parser("hr", parents=[filter_file])
+    a.set_defaults(func=_cmd_filter_hr)
+
+    a = actions.add_parser("pi", parents=[filter_file])
+    a.add_argument("--super", action="store_true")
+    a.set_defaults(func=_cmd_filter_pi)
 
     p = sub.add_parser("series", help="graded dimension series")
     p.add_argument("--file", required=True)
@@ -313,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force tensor checks")
     actions = p.add_subparsers(dest="action", required=True)
-    text_or_json = argparse.ArgumentParser(add_help=False)
-    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
 
     a = actions.add_parser("decompose", parents=[text_or_json])
     a.add_argument("--k", type=int, required=True)

@@ -13,13 +13,19 @@ weakly down columns.  Three quantities are computed exactly here:
 * ``hs_eval`` -- the same tableau generating function with cell weights,
   evaluated at explicit rational points.
 
-``schur_dim`` splits a tableau into its unprimed subshape and the primed
-skew remainder.  When the shape covers the ``k x l`` corner rectangle
-the count factors into an unprimed arm, a primed leg and ``2^(k*l)``
-for the corner, which keeps the series layer fast at sizes around 40;
-otherwise the subshape sum is small because the shape is thin.  A naive
-full enumeration (``schur_dim_by_enumeration``) is kept as the
+``schur_dim`` is the hook dimension of Berele and Regev ("Hook Young
+diagrams with applications to combinatorics and to representations of
+Lie superalgebras", Adv. Math. 1987).  With one alphabet empty it is an
+ordinary semistandard count (of the shape, or of its conjugate).  When
+the shape covers the ``k x l`` corner rectangle the count factors into
+an unprimed arm, a primed leg and ``2^(k*l)`` for the corner.  Otherwise
+it splits each tableau into its unprimed subshape and the primed skew
+remainder, a sum that stays small because such a shape is thin.  A
+naive full enumeration (``schur_dim_by_enumeration``) is kept as the
 independent oracle for small shapes.
+
+The public functions validate their arguments; the series layer calls
+the unchecked ``_w_dim`` on the shapes it generates itself.
 """
 
 from __future__ import annotations
@@ -69,19 +75,27 @@ def _f_rec(lam: Partition) -> int:
     return total
 
 
-def schur_dim(lam, k: int, l: int) -> int:
-    """Number of ``(k,l)``-semistandard tableaux of shape ``lam``."""
+def _check_alphabet(k: int, l: int) -> tuple[int, int]:
     k, l = int(k), int(l)
     if k < 0 or l < 0:
         raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
-    return _schur_dim(check_partition(lam), k, l)
+    return k, l
+
+
+def schur_dim(lam, k: int, l: int) -> int:
+    """Number of ``(k,l)``-semistandard tableaux of shape ``lam``."""
+    return _schur_dim(check_partition(lam), *_check_alphabet(k, l))
 
 
 @lru_cache(maxsize=None)
 def _schur_dim(lam: Partition, k: int, l: int) -> int:
+    if l == 0:
+        return _ssyt_count(lam, k)
+    if k == 0:
+        return _ssyt_count(conjugate(lam), l)
     if not in_hook(lam, k, l):
         return 0
-    if k >= 1 and l >= 1 and len(lam) >= k and lam[k - 1] >= l:
+    if len(lam) >= k and lam[k - 1] >= l:
         # The shape covers the k x l corner: unprimed arm, primed leg and
         # the mixed corner contribute independently at the all-ones point.
         conj = conjugate(lam)
@@ -182,7 +196,11 @@ def _hstrip_extensions(phi: Partition, theta: Partition) -> Iterator[Partition]:
 
 def w_dim(lam, k: int, l: int) -> int:
     """Dimension of the full isotypic block: ``f_lambda * schur_dim``."""
-    return f_lambda(lam) * schur_dim(lam, k, l)
+    return _w_dim(check_partition(lam), *_check_alphabet(k, l))
+
+
+def _w_dim(lam: Partition, k: int, l: int) -> int:
+    return _f_hook(lam) * _schur_dim(lam, k, l)
 
 
 @dataclass

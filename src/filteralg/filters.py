@@ -17,7 +17,7 @@ from .partitions import (
     Partition,
     check_partition,
     contains,
-    enumerate_partitions,
+    enumerate_avoiding,
     hook_rectangle,
 )
 
@@ -90,13 +90,15 @@ class Filter:
         return Filter(self.generators + other.generators, ambient)
 
     def complement_at(self, n: int) -> list[Partition]:
-        """Non-members of size ``n`` inside the ambient hook, canonical order."""
-        k, l = self._require_ambient()
-        return [
-            lam
-            for lam in enumerate_partitions(n, hook=(k, l))
-            if not self.member(lam)
-        ]
+        """Non-members of size ``n`` inside the ambient hook, canonical order.
+
+        The ambient rectangle is one of the generators, so the walk over
+        the shapes avoiding them (:func:`enumerate_avoiding`) stays inside
+        the hook and yields exactly the non-members; no shape is
+        membership-tested.
+        """
+        self._require_ambient()
+        return [lam for lam in enumerate_avoiding(self.generators, n) if sum(lam) == n]
 
     # -- growth invariants ---------------------------------------------------
 
@@ -165,9 +167,13 @@ class Filter:
     def nilpotency_bound(self) -> Optional[int]:
         """Least ``N`` with the complement empty at every size ``>= N``.
 
-        Present exactly when the filter contains a single row and a
-        single column (``hr <= 1``); the rectangle bound
-        ``(b1-1)(b2-1)+1`` caps the scan.
+        Present exactly when the filter contains a single row ``(b1)``
+        and a single column ``(1^b2)`` (``hr <= 1``).  Every non-member
+        then fits in the ``(b2-1) x (b1-1)`` rectangle, so one walk over
+        the non-members up to that size finds the largest, and ``N`` is
+        one more than its size (``0`` when every shape is a member).
+        Non-members form an order ideal, so every smaller size has one
+        too.
         """
         if self.hr() > 1:
             return None
@@ -176,10 +182,8 @@ class Filter:
             return 0
         b1 = min(mu[0] for mu in gens if len(mu) == 1)
         b2 = min(len(mu) for mu in gens if mu[0] == 1)
-        n = (b1 - 1) * (b2 - 1) + 1
-        while n > 0 and not self.complement_at(n - 1):
-            n -= 1
-        return n
+        sizes = map(sum, enumerate_avoiding(gens, (b1 - 1) * (b2 - 1)))
+        return max(sizes, default=-1) + 1
 
     # -- serialization ---------------------------------------------------------
 

@@ -18,8 +18,10 @@ Everything downstream is spans of such vectors inside the full
 bases so that subspace equality is literal comparison.  Hard caps keep
 the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096``, and the degree
 of the sums over a whole symmetric group (the EE criterion and
-:func:`check_annihilation`) at ``DEGREE_CAP = 7``; exceeding a cap
-raises :class:`CapExceeded`, never approximates.
+:func:`check_annihilation`) at ``DEGREE_CAP = 7``; the public
+symmetrizers refuse to list a group (``|R| * |C|`` for a tableau) of
+order above ``7!``.  Exceeding a cap raises :class:`CapExceeded`, never
+approximates.
 
 The isotypic blocks (:func:`module_W`) never expand a Young
 symmetrizer: the tableau's row and column groups act in two passes, the
@@ -164,12 +166,19 @@ def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
 
 def full_symmetrizer(n: int) -> dict:
     """Sum of all permutations of ``1..n``."""
-    return {p: 1 for p in permutations(range(1, n + 1))}
+    _check_group_cap([range(1, n + 1)])
+    return _symmetric_sum(n, signed=False)
 
 
 def sign_symmetrizer(n: int) -> dict:
     """Signed sum of all permutations of ``1..n``."""
-    return {p: perm_sign(p) for p in permutations(range(1, n + 1))}
+    _check_group_cap([range(1, n + 1)])
+    return _symmetric_sum(n, signed=True)
+
+
+def _symmetric_sum(n: int, signed: bool) -> dict:
+    # Uncapped; about twice as fast as _group_sum on the whole group.
+    return {p: perm_sign(p) if signed else 1 for p in permutations(range(1, n + 1))}
 
 
 def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
@@ -200,10 +209,23 @@ def _group_sum(blocks: Sequence[Sequence[int]], n: int, signed: bool) -> dict:
     return out
 
 
+def _check_group_cap(*block_lists: Sequence[Sequence[int]]) -> None:
+    """Refuse to list more than ``DEGREE_CAP!`` permutations: the product
+    of the orders of the block groups is checked before any is built."""
+    order = prod(_group_order(blocks) for blocks in block_lists)
+    if order > factorial(DEGREE_CAP):
+        raise CapExceeded(f"group order {order} exceeds cap {DEGREE_CAP}!")
+
+
 def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
-    """Row sum times signed column sum for a bijective tableau filling."""
+    """Row sum times signed column sum for a bijective tableau filling.
+
+    Raises :class:`CapExceeded` before enumerating when ``|R| * |C|``,
+    the number of products formed, is above ``DEGREE_CAP!``.
+    """
     rows, cols = _tableau_blocks(rows)
     n = sum(len(r) for r in rows)
+    _check_group_cap(rows, cols)
     rplus = _group_sum(rows, n, signed=False)
     cminus = _group_sum(cols, n, signed=True)
     pairs = product(rplus.items(), cminus.items())
@@ -791,8 +813,9 @@ def ee_identity_kernel_dim(d: int, cap: int = KERNEL_DEGREE_CAP) -> int:
 
 @lru_cache(maxsize=None)
 def _word_symmetrized(word: Word, k: int, l: int, signed: bool) -> tuple:
+    # The caller has checked the degree against its own cap.
     n = len(word)
-    element = sign_symmetrizer(n) if signed else full_symmetrizer(n)
+    element = _symmetric_sum(n, signed)
     out = star_group_algebra({word: 1}, element, SuperBasis(k, l))
     return tuple(sorted(out.items()))
 

@@ -3,12 +3,13 @@
 A partition is a plain ``tuple[int, ...]`` with positive, weakly
 decreasing parts; ``()`` is the empty partition.  These helpers are the
 index layer for the whole package: diagram containment, conjugation,
-hook membership, hook-rectangular shapes and restricted enumeration.
+hook membership, hook-rectangular shapes, restricted enumeration and
+the walk over the shapes that avoid a set of generators.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
 
@@ -67,9 +68,13 @@ def contains(mu: Partition, lam: Partition) -> bool:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose the diagram: column lengths become row lengths."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    # Columns lam[i]+1 .. lam[i-1] have height i; walk the rows bottom-up.
+    out: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple(out)
 
 
 def in_hook(lam: Partition, k: int, l: int) -> bool:
@@ -126,3 +131,40 @@ def _descend(
     for first in range(min(cap, n), 0, -1):
         for rest in _descend(n - first, first, row + 1, k, l):
             yield (first,) + rest
+
+
+def enumerate_avoiding(
+    generators: Sequence[Partition], n_max: int
+) -> Iterator[Partition]:
+    """Every partition of size at most ``n_max`` containing no generator.
+
+    The shapes come in reverse-lexicographic preorder (each prefix
+    before its extensions, larger parts first), so those of one size
+    appear in the order of :func:`enumerate_partitions`.  The shapes
+    avoiding the generators form an order ideal, and the walk never
+    leaves it: at row ``r`` the new part stays below ``g[r]`` for every
+    generator ``g`` with exactly ``r+1`` rows whose first ``r`` rows
+    already fit under the prefix, so no visited prefix contains a
+    generator and nothing is enumerated only to be thrown away.
+    """
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    gens = [tuple(g) for g in generators]
+    if () not in gens:
+        yield from _avoid((), n_max, n_max, gens)
+
+
+def _avoid(
+    prefix: Partition, budget: int, max_part: int, alive: list[Partition]
+) -> Iterator[Partition]:
+    # ``alive``: the generators longer than the prefix whose first rows
+    # fit under it.
+    yield prefix
+    row = len(prefix)
+    cap = min(max_part, budget)
+    for g in alive:
+        if len(g) == row + 1 and g[row] <= cap:
+            cap = g[row] - 1
+    for part in range(cap, 0, -1):
+        still = [g for g in alive if len(g) > row + 1 and g[row] <= part]
+        yield from _avoid(prefix + (part,), budget - part, part, still)

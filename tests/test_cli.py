@@ -151,6 +151,10 @@ def test_usage_errors(tmp_path, sym_file, capsys):
     assert main(["growth", "--file", sym_file, "--n-max", "-3"]) == 2
     assert main(["series", "--file", sym_file, "--n-max", "-1"]) == 2
     assert "n_max must be nonnegative" in capsys.readouterr().err
+    assert main(["filter", "complement", "--file", sym_file, "--n", "-1"]) == 2
+    assert "n must be nonnegative" in capsys.readouterr().err
+    assert main(["filter", "complement", "--file", sym_file]) == 2
+    assert main(["filter", "hr", "--file", sym_file, "--super"]) == 2
 
 
 def test_identity_degree_above_n_is_refused_before_building(sym_file, capsys):

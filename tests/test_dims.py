@@ -75,7 +75,7 @@ def test_schur_dim_against_enumeration():
     [(4, 3), (3, 3, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (5, 1, 1, 1), (8,), (1,) * 8],
 )
 def test_schur_dim_against_enumeration_large(lam):
-    for k, l in [(2, 0), (1, 1), (2, 1), (2, 2)]:
+    for k, l in [(2, 0), (3, 0), (0, 2), (1, 1), (2, 1), (2, 2)]:
         assert schur_dim(lam, k, l) == schur_dim_by_enumeration(lam, k, l)
 
 

@@ -125,3 +125,13 @@ def test_annihilation_input_validation():
         check_annihilation(g, [(1,), (2,)], B11)
     with pytest.raises(CapExceeded):
         check_annihilation(g, [(1, 1), (1, 1), (1, 1), (1, 1)], B11)
+
+
+def test_annihilation_uses_its_own_degree_cap():
+    # full_symmetrizer(8) is refused, but check_annihilation honours the
+    # cap it is given: a repeated odd letter kills the full sum and a
+    # repeated even letter the signed one.
+    word = (1, 2, 1, 2, 1, 2, 1, 2)
+    assert check_annihilation(standard_poly(1), [word], B11, cap=8)
+    with pytest.raises(CapExceeded):
+        check_annihilation(standard_poly(1), [word], B11)

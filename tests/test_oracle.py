@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from filteralg.dims import w_dim
 from filteralg.filters import Filter
 from filteralg.oracle import (
+    DEGREE_CAP,
     CapExceeded,
     SuperBasis,
     check_ideal,
@@ -98,6 +100,21 @@ def test_symmetrizers():
     )
     with pytest.raises(ValueError):
         tableau_symmetrizer([[1, 3]])
+
+
+def test_symmetrizers_refuse_groups_above_the_cap():
+    # 12! permutations would take hours to list; the order is checked first.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        tableau_symmetrizer([list(range(1, 13))])
+    with pytest.raises(CapExceeded):
+        tableau_symmetrizer([[1, 2, 3, 4], [5, 6, 7, 8]])  # |R| * |C| = 9216
+    with pytest.raises(CapExceeded):
+        full_symmetrizer(DEGREE_CAP + 1)
+    with pytest.raises(CapExceeded):
+        sign_symmetrizer(12)
+    assert time.perf_counter() - start < 5
+    assert len(full_symmetrizer(DEGREE_CAP)) == factorial(DEGREE_CAP)
 
 
 def test_antisymmetrizer_pins_the_odd_sign():

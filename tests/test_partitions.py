@@ -9,6 +9,7 @@ from filteralg.partitions import (
     conjugate,
     contains,
     display_partition,
+    enumerate_avoiding,
     enumerate_partitions,
     format_partition,
     hook_rectangle,
@@ -67,6 +68,13 @@ def test_conjugate_examples():
 @given(partition_strategy())
 def test_conjugate_is_involution(lam):
     assert conjugate(conjugate(lam)) == lam
+
+
+def test_conjugate_counts_column_cells():
+    # Column j has one cell in every row longer than j.
+    for lam in all_partitions_upto(12):
+        expected = tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+        assert conjugate(lam) == expected, lam
 
 
 def test_in_hook_examples():
@@ -176,3 +184,17 @@ def test_large_core_shapes_contain_a_witness(b):
         for lam in enumerate_partitions(n):
             if c_stat(lam) >= t and c_stat(conjugate(lam)) >= t:
                 assert any(contains(tgt, lam) for tgt in targets), lam
+
+
+@given(st.lists(partition_strategy(max_n=6), max_size=3), st.integers(0, 9))
+def test_enumerate_avoiding_matches_filtering(gens, n_max):
+    walked = list(enumerate_avoiding(gens, n_max))
+    assert len(set(walked)) == len(walked)
+    for n in range(n_max + 1):
+        expected = [
+            lam for lam in enumerate_partitions(n)
+            if not any(contains(g, lam) for g in gens)
+        ]
+        assert [lam for lam in walked if sum(lam) == n] == expected, n
+    with pytest.raises(ValueError):
+        list(enumerate_avoiding(gens, -1))

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import CATALOG_SPECS
 from filteralg.dims import f_lambda, w_dim
 from filteralg.filters import Filter
 from filteralg.partitions import enumerate_partitions, hook_rectangle
@@ -122,3 +124,63 @@ def test_growth_report_json():
     data = rep.to_json()
     assert data["verdict"] == "PASS"
     assert set(data) == {"alpha", "slope", "verdict"}
+
+
+# The old path, kept as the reference for the pruned walk: enumerate the
+# whole ambient hook and membership-test every shape.
+
+
+def _complement_by_filtering(f, n):
+    k, l = f.ambient
+    return [lam for lam in enumerate_partitions(n, hook=(k, l)) if not f.member(lam)]
+
+
+def _nilpotency_by_scan(f):
+    if f.hr() > 1:
+        return None
+    gens = f.generators
+    if () in gens:
+        return 0
+    b1 = min(mu[0] for mu in gens if len(mu) == 1)
+    b2 = min(len(mu) for mu in gens if mu[0] == 1)
+    n = (b1 - 1) * (b2 - 1) + 1
+    while n > 0 and not _complement_by_filtering(f, n - 1):
+        n -= 1
+    return n
+
+
+def _assert_walk_matches_filtering(f, n_max):
+    k, l = f.ambient
+    values = series(f, n_max).values
+    for n in range(n_max + 1):
+        expected = _complement_by_filtering(f, n)
+        assert f.complement_at(n) == expected, (f, n)
+        assert values[n] == sum(w_dim(lam, k, l) for lam in expected), (f, n)
+    assert f.nilpotency_bound() == _nilpotency_by_scan(f), f
+
+
+small_partitions = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@given(
+    gens=st.lists(small_partitions, max_size=4),
+    k=st.integers(0, 3),
+    l=st.integers(0, 3),
+)
+def test_walk_matches_hook_enumeration(gens, k, l):
+    _assert_walk_matches_filtering(Filter(gens, (k, l)), 10)
+
+
+@pytest.mark.parametrize("gens, ambient", CATALOG_SPECS)
+def test_walk_matches_hook_enumeration_on_catalog(gens, ambient):
+    _assert_walk_matches_filtering(Filter(gens, ambient), 12)
+
+
+def test_negative_size_is_rejected():
+    f = Filter([(2,)], (1, 1))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        f.complement_at(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        dim_quotient(f, -1)
