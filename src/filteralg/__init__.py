@@ -49,7 +49,6 @@ from .oracle import (
     generated_ideal,
     ideal_subspace,
     is_identity_EE,
-    is_identity_EE_sampled,
     module_W,
     multilinear_from_free,
     multilinearize,

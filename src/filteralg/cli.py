@@ -20,12 +20,11 @@ from .lr import lr_coefficient, outer_product
 from .oracle import (
     DIM_CAP,
     CapExceeded,
-    DEGREE_CAP,
+    EE_DEGREE_CAP,
     SuperBasis,
     check_ideal,
     evaluate_identity,
     is_identity_EE,
-    is_identity_EE_sampled,
     module_W,
     named_poly,
 )
@@ -250,24 +249,14 @@ def _cmd_oracle_identity(args) -> int:
 
 
 def _cmd_oracle_ee(args) -> int:
-    g = named_poly(args.poly)
-    if g.degree <= DEGREE_CAP:
-        ok = is_identity_EE(g)
-        mode = "exhaustive"
-    else:
-        ok = is_identity_EE_sampled(g, samples=200, seed=0)
-        mode = "sampled"
+    g = named_poly(args.poly, max_degree=EE_DEGREE_CAP)
+    ok = is_identity_EE(g)
     if args.format == "json":
         _print_json(
-            {
-                "poly": args.poly,
-                "degree": g.degree,
-                "mode": mode,
-                "verdict": "PASS" if ok else "FAIL",
-            }
+            {"poly": args.poly, "degree": g.degree, "verdict": "PASS" if ok else "FAIL"}
         )
     else:
-        print(f"{'PASS' if ok else 'FAIL'} ({mode})")
+        print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 

@@ -126,43 +126,31 @@ class EchelonBasis:
 def dense_rank(rows: list[list[int]]) -> int:
     """Rank over the rationals of a dense integer matrix.
 
-    Fraction-free elimination with per-row gcd normalization; duplicate
-    rows are dropped up front since the callers generate many.
+    Fraction-free elimination, one column at a time.  A row keeps only
+    the columns not yet eliminated, so each row operation is one list
+    comprehension over a shrinking suffix, normalized by one
+    ``gcd(*row)``.  Rows that reduce to zero are dropped, and so are
+    duplicate rows up front, since the callers generate many.
     """
-    seen = set()
-    mat = []
-    for r in rows:
-        t = tuple(r)
-        if t not in seen:
-            seen.add(t)
-            mat.append(list(r))
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    mat = [list(r) for r in dict.fromkeys(map(tuple, rows)) if any(r)]
     rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    while mat:
+        # Every row in ``mat`` is nonzero, so some column is left.
+        pivot = next((r for r in mat if r[0]), None)
+        if pivot is None:
+            mat = [r[1:] for r in mat]
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            ci = mat[i][col]
-            if not ci:
-                continue
-            row = mat[i]
-            g = 0
-            for j in range(col, ncols):
-                row[j] = pv * row[j] - ci * mat[rank][j]
-                g = gcd(g, row[j])
-            if g > 1:
-                for j in range(col, ncols):
-                    row[j] //= g
         rank += 1
-        if rank == len(mat):
-            break
+        pv, tail = pivot[0], pivot[1:]
+        rest = []
+        for r in mat:
+            c = r[0]
+            if not c:
+                rest.append(r[1:])
+            elif r is not pivot:
+                r = [pv * x - c * y for x, y in zip(r[1:], tail)]
+                g = gcd(*r)
+                if g:
+                    rest.append([x // g for x in r] if g > 1 else r)
+        mat = rest
     return rank

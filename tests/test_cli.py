@@ -130,12 +130,13 @@ def test_oracle_identity(sym_file, tmp_path, capsys):
 
 def test_oracle_ee(capsys):
     assert main(["oracle", "ee", "--poly", "popov5a"]) == 0
-    assert capsys.readouterr().out.strip() == "PASS (exhaustive)"
+    assert capsys.readouterr().out.strip() == "PASS"
     assert main(["oracle", "ee", "--poly", "s4"]) == 1
-    assert capsys.readouterr().out.strip() == "FAIL (exhaustive)"
+    assert capsys.readouterr().out.strip() == "FAIL"
+    # Degree 9, decided over every subset pair.
     assert main(["oracle", "ee", "--poly", "s3cube", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["mode"] == "sampled" and data["verdict"] == "PASS"
+    assert data == {"poly": "s3cube", "degree": 9, "verdict": "PASS"}
 
 
 def test_usage_errors(tmp_path, sym_file, capsys):
@@ -153,6 +154,9 @@ def test_usage_errors(tmp_path, sym_file, capsys):
     assert "n_max must be nonnegative" in capsys.readouterr().err
     assert main(["filter", "complement", "--file", sym_file, "--n", "-1"]) == 2
     assert "n must be nonnegative" in capsys.readouterr().err
+    # commutators:30 has 2^30 monomials; its degree 60 is read from the name.
+    assert main(["oracle", "ee", "--poly", "commutators:30"]) == 2
+    assert "degree 60" in capsys.readouterr().err
     assert main(["filter", "complement", "--file", sym_file]) == 2
     assert main(["filter", "hr", "--file", sym_file, "--super"]) == 2
 

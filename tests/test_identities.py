@@ -1,7 +1,10 @@
-from itertools import product
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from filteralg.linalg import add_terms, dense_rank
 from filteralg.oracle import (
     CapExceeded,
     MultilinearPoly,
@@ -9,9 +12,10 @@ from filteralg.oracle import (
     br_cube,
     check_annihilation,
     commutator_product,
+    compose,
     ee_identity_kernel_dim,
+    f_I,
     is_identity_EE,
-    is_identity_EE_sampled,
     multilinearize,
     named_poly,
     popov5a,
@@ -56,23 +60,93 @@ def test_is_identity_examples():
 
 
 def test_is_identity_degree_cap():
+    # Degree 9 is decided exhaustively, so both verdicts are proofs.
+    g = s3_cubed()
+    assert is_identity_EE(g)
+    # g minus twice one of its terms: a single monomial is never an
+    # identity, so neither is this.
+    sigma, c = next(iter(g.coeffs.items()))
+    assert not is_identity_EE(MultilinearPoly(9, {**g.coeffs, sigma: -c}))
+    # Swapping two opposite coefficients keeps the coefficient sum at
+    # zero, so here the subset pairs decide.
+    tau = next(t for t, ct in g.coeffs.items() if ct == -c)
+    assert not is_identity_EE(MultilinearPoly(9, {**g.coeffs, sigma: -c, tau: c}))
     with pytest.raises(CapExceeded):
-        is_identity_EE(s3_cubed())
+        is_identity_EE(commutator_product(5))
 
 
-def test_sampled_check():
-    assert is_identity_EE_sampled(s3_cubed(), samples=40, seed=1)
-    assert not is_identity_EE_sampled(standard_poly(4), samples=40, seed=1)
+def _subsets(d):
+    return [frozenset(s) for m in range(d + 1) for s in combinations(range(1, d + 1), m)]
+
+
+def _direct_verdict(g):
+    """The criterion summed term by term from ``f_I`` values: the old path."""
+    items = g.int_coeffs()
+    fvals = [[f_I(sigma, sub) for sigma, _ in items] for sub in _subsets(g.degree)]
+    for i, f1 in enumerate(fvals):
+        for f2 in fvals[i:]:
+            if sum(c * a * b for (_, c), a, b in zip(items, f1, f2)):
+                return False
+    return True
+
+
+def _kernel_dim_over_all_pairs(d):
+    """Rank of the rows ``f_I1 * f_I2`` of every subset pair: the old matrix."""
+    perms = list(permutations(range(1, d + 1)))
+    fvals = [[f_I(sigma, sub) for sigma in perms] for sub in _subsets(d)]
+    rows = [[a * b for a, b in zip(f1, f2)] for i, f1 in enumerate(fvals) for f2 in fvals[i:]]
+    return factorial(d) - dense_rank(rows)
+
+
+_coefficients = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+)
+
+
+@st.composite
+def _polys(draw):
+    """Degree <= 5: sums of renamed popov identities, groups of terms
+    with opposite coefficients, and a few stray terms."""
+    d = draw(st.integers(1, 5))
+    coeffs: dict = {}
+    if d == 5:
+        for _ in range(draw(st.integers(0, 3))):
+            base = draw(st.sampled_from([popov5a(), popov5b()]))
+            # Renaming x_i -> x_pi(i) sends the monomial of sigma to pi * sigma.
+            pi = tuple(draw(st.permutations(range(1, 6))))
+            c = draw(_coefficients)
+            add_terms(coeffs, ((compose(pi, s), c * a) for s, a in base.coeffs.items()))
+    perm = st.permutations(range(1, d + 1)).map(tuple)
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(_coefficients)
+        plus = draw(st.lists(perm, max_size=4))
+        minus = draw(st.lists(perm, min_size=len(plus), max_size=len(plus)))
+        add_terms(coeffs, [(s, c) for s in plus] + [(s, -c) for s in minus])
+    add_terms(coeffs, ((s, draw(_coefficients)) for s in draw(st.lists(perm, max_size=2))))
+    return MultilinearPoly(d, coeffs)
+
+
+@settings(deadline=None)
+@given(_polys())
+def test_parity_masks_match_direct_sum(g):
+    assert is_identity_EE(g) == _direct_verdict(g)
 
 
 def test_kernel_dims():
     assert ee_identity_kernel_dim(2) == 0
     assert ee_identity_kernel_dim(3) == 0
     assert ee_identity_kernel_dim(4) == 0
-    # regression constant computed once by this implementation
+    # regression constants, computed by the rank over every subset pair
     assert ee_identity_kernel_dim(5) == 20
+    assert ee_identity_kernel_dim(6) == 315
     with pytest.raises(CapExceeded):
         ee_identity_kernel_dim(7)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_kernel_basis_products_match_all_subset_pairs(d):
+    assert ee_identity_kernel_dim(d) == _kernel_dim_over_all_pairs(d)
 
 
 def test_kernel_d2_constraints_by_hand():
