@@ -59,10 +59,16 @@ def test_is_identity_examples():
     assert not is_identity_EE(commutator_product(2))
 
 
+def test_sampled_check():
+    # The two verdicts a random-substitution spot check used to give at
+    # degree 9 and 4; every subset pair is decided, so both are proofs.
+    assert is_identity_EE(s3_cubed())
+    assert not is_identity_EE(standard_poly(4))
+
+
 def test_is_identity_degree_cap():
     # Degree 9 is decided exhaustively, so both verdicts are proofs.
     g = s3_cubed()
-    assert is_identity_EE(g)
     # g minus twice one of its terms: a single monomial is never an
     # identity, so neither is this.
     sigma, c = next(iter(g.coeffs.items()))
