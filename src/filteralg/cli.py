@@ -2,7 +2,9 @@
 
 One binary, subcommand style: ``lr``, ``dims``, ``filter``, ``series``,
 ``growth``, ``oracle``.  Human-readable tables by default, ``--format
-json`` (and ``csv`` for series) for scripting.  Exit codes: 0 success or
+json`` (and ``csv`` for series) for scripting; ``growth`` always prints
+JSON.  Each command returns its exit code, a JSON payload and its text
+lines, and :func:`main` prints one of the two.  Exit codes: 0 success or
 true verdict, 1 false verdict, 2 usage error, 3 enumeration cap
 exceeded.  ``FILTERALG_DIM_CAP`` overrides the oracle ambient cap.
 """
@@ -36,179 +38,124 @@ from .partitions import (
 from .series import series, verify_growth
 from .dims import w_dim
 
+# What every ``_cmd_*`` returns: exit code, JSON payload, text lines.
+Result = tuple[int, dict, list[str]]
+
 
 def _dim_cap() -> int:
     raw = os.environ.get("FILTERALG_DIM_CAP")
     return int(raw) if raw else DIM_CAP
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
+def _verdict(ok: bool, payload: dict, lines: list[str]) -> Result:
+    """An oracle check's result: ``"verdict"`` goes last in the payload,
+    and the verdict word leads the last text line (or is the only one)."""
+    word = "PASS" if ok else "FAIL"
+    lines = lines[:-1] + [" ".join([word, *lines[-1:]])]
+    return (0 if ok else 1), {**payload, "verdict": word}, lines
 
 
-def _cmd_lr(args) -> int:
+def _cmd_lr(args) -> Result:
     mu = parse_partition(args.mu)
     lam = parse_partition(args.lam)
     if args.nu is not None:
         nu = parse_partition(args.nu)
         c = lr_coefficient(mu, lam, nu)
-        if args.format == "json":
-            _print_json(
-                {"mu": list(mu), "lam": list(lam), "nu": list(nu), "coefficient": c}
-            )
-        else:
-            print(c)
-        return 0
+        payload = {"mu": list(mu), "lam": list(lam), "nu": list(nu), "coefficient": c}
+        return 0, payload, [str(c)]
     exp = outer_product(mu, lam)
-    if args.format == "json":
-        _print_json(
-            {
-                "mu": list(mu),
-                "lam": list(lam),
-                "degree": exp.degree,
-                "terms": [
-                    {"nu": list(nu), "coeff": c} for nu, c in exp.terms.items()
-                ],
-            }
-        )
-    else:
-        for nu, c in exp.terms.items():
-            print(f"{display_partition(nu)}={c}")
-    return 0
+    payload = {
+        "mu": list(mu),
+        "lam": list(lam),
+        "degree": exp.degree,
+        "terms": [{"nu": list(nu), "coeff": c} for nu, c in exp.terms.items()],
+    }
+    return 0, payload, [f"{display_partition(nu)}={c}" for nu, c in exp.terms.items()]
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> Result:
     rec = dimension_record(parse_partition(args.lam), args.k, args.l)
-    if args.format == "json":
-        _print_json(
-            {
-                "lambda": list(rec.lam),
-                "k": args.k,
-                "l": args.l,
-                "f": rec.f,
-                "schur": rec.schur,
-                "w": rec.w,
-            }
-        )
-    else:
-        print(f"f={rec.f} schur={rec.schur} w={rec.w}")
-    return 0
+    payload = {
+        "lambda": list(rec.lam),
+        "k": args.k,
+        "l": args.l,
+        "f": rec.f,
+        "schur": rec.schur,
+        "w": rec.w,
+    }
+    return 0, payload, [f"f={rec.f} schur={rec.schur} w={rec.w}"]
 
 
-def _cmd_filter_minimize(args) -> int:
+def _cmd_filter_minimize(args) -> Result:
     filt = Filter.load(args.file)
-    if args.format == "json":
-        _print_json(filt.to_json())
-    else:
-        for g in filt.generators:
-            print(display_partition(g))
-    return 0
+    return 0, filt.to_json(), [display_partition(g) for g in filt.generators]
 
 
-def _cmd_filter_member(args) -> int:
+def _cmd_filter_member(args) -> Result:
     verdict = Filter.load(args.file).member(parse_partition(args.lam))
-    if args.format == "json":
-        _print_json({"member": verdict})
-    else:
-        print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return (0 if verdict else 1), {"member": verdict}, ["true" if verdict else "false"]
 
 
-def _cmd_filter_complement(args) -> int:
+def _cmd_filter_complement(args) -> Result:
     shapes = Filter.load(args.file).complement_at(args.n)
-    if args.format == "json":
-        _print_json({"n": args.n, "complement": [list(s) for s in shapes]})
-    else:
-        for s in shapes:
-            print(display_partition(s))
-    return 0
+    payload = {"n": args.n, "complement": [list(s) for s in shapes]}
+    return 0, payload, [display_partition(s) for s in shapes]
 
 
-def _cmd_filter_hr(args) -> int:
+def _cmd_filter_hr(args) -> Result:
     value = Filter.load(args.file).hr()
-    if args.format == "json":
-        _print_json({"hr": value})
-    else:
-        print(value)
-    return 0
+    return 0, {"hr": value}, [str(value)]
 
 
-def _cmd_filter_pi(args) -> int:
+def _cmd_filter_pi(args) -> Result:
     filt = Filter.load(args.file)
     if getattr(args, "super"):
-        witness = filt.is_pi_super()
-        label = "b"
+        witness, label = filt.is_pi_super(), "b"
     else:
-        witness = filt.is_pi_classical()
-        label = "c"
-    if args.format == "json":
-        _print_json({"pi": witness is not None, label: witness})
-    else:
-        print(f"{label}={witness}" if witness is not None else "not-pi")
-    return 0 if witness is not None else 1
+        witness, label = filt.is_pi_classical(), "c"
+    pi = witness is not None
+    text = f"{label}={witness}" if pi else "not-pi"
+    return (0 if pi else 1), {"pi": pi, label: witness}, [text]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Result:
     ser = series(Filter.load(args.file), args.n_max)
-    if args.format == "json":
-        _print_json(
-            {
-                "k": ser.k,
-                "l": ser.l,
-                "n_max": args.n_max,
-                "values": list(ser.values),
-            }
-        )
-    elif args.format == "csv":
-        for n, d in enumerate(ser.values):
-            print(f"{n},{d}")
-    else:
-        width = max(len(str(d)) for d in ser.values)
-        for n, d in enumerate(ser.values):
-            print(f"{n:4d} {d:>{width}}")
-    return 0
+    payload = {"k": ser.k, "l": ser.l, "n_max": args.n_max, "values": list(ser.values)}
+    if args.format == "csv":
+        return 0, payload, [f"{n},{d}" for n, d in enumerate(ser.values)]
+    width = max(len(str(d)) for d in ser.values)
+    return 0, payload, [f"{n:4d} {d:>{width}}" for n, d in enumerate(ser.values)]
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> Result:
     report = verify_growth(Filter.load(args.file), args.n_max)
-    _print_json(report.to_json())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json(), []
 
 
-def _cmd_oracle_decompose(args) -> int:
+def _cmd_oracle_decompose(args) -> Result:
     basis = SuperBasis(args.k, args.l)
     n = args.n
     cap = _dim_cap()
-    detail = []
-    ok = True
-    total = 0
+    blocks = []
+    lines = []
     for lam in enumerate_partitions(n):
-        sub = module_W(lam, basis, n, cap)
-        expected = w_dim(lam, args.k, args.l)
-        ok = ok and sub.dim == expected
-        total += sub.dim
-        detail.append({"lambda": list(lam), "module": sub.dim, "w": expected})
-    ok = ok and total == basis.dim**n
-    if args.format == "json":
-        _print_json(
-            {
-                "k": args.k,
-                "l": args.l,
-                "n": n,
-                "total": total,
-                "expected_total": basis.dim**n,
-                "blocks": detail,
-                "verdict": "PASS" if ok else "FAIL",
-            }
-        )
-    else:
-        for entry in detail:
-            print(
-                f"{display_partition(tuple(entry['lambda']))} "
-                f"module={entry['module']} w={entry['w']}"
-            )
-        print(f"{'PASS' if ok else 'FAIL'} total={total} expected={basis.dim ** n}")
-    return 0 if ok else 1
+        dim = module_W(lam, basis, n, cap).dim
+        w = w_dim(lam, args.k, args.l)
+        blocks.append({"lambda": list(lam), "module": dim, "w": w})
+        lines.append(f"{display_partition(lam)} module={dim} w={w}")
+    # After the loop, which refuses n < 0 before 0**n can divide by zero.
+    expected_total = basis.dim**n
+    total = sum(b["module"] for b in blocks)
+    ok = all(b["module"] == b["w"] for b in blocks) and total == expected_total
+    payload = {
+        "k": args.k,
+        "l": args.l,
+        "n": n,
+        "total": total,
+        "expected_total": expected_total,
+        "blocks": blocks,
+    }
+    return _verdict(ok, payload, lines + [f"total={total} expected={expected_total}"])
 
 
 def _filter_with_basis(path: str, action: str) -> tuple[Filter, SuperBasis]:
@@ -218,7 +165,7 @@ def _filter_with_basis(path: str, action: str) -> tuple[Filter, SuperBasis]:
     return filt, SuperBasis(*filt.ambient)
 
 
-def _cmd_oracle_check_ideal(args) -> int:
+def _cmd_oracle_check_ideal(args) -> Result:
     filt, basis = _filter_with_basis(args.file, "check-ideal")
     members = [
         lam
@@ -227,37 +174,20 @@ def _cmd_oracle_check_ideal(args) -> int:
         if filt.member(lam)
     ]
     ok = check_ideal(members, basis, args.n_max, _dim_cap())
-    if args.format == "json":
-        _print_json({"n_max": args.n_max, "verdict": "PASS" if ok else "FAIL"})
-    else:
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _verdict(ok, {"n_max": args.n_max}, [])
 
 
-def _cmd_oracle_identity(args) -> int:
+def _cmd_oracle_identity(args) -> Result:
     filt, basis = _filter_with_basis(args.file, "identity")
     # Above degree --n no substitution of total degree n exists.
     g = named_poly(args.poly, max_degree=args.n)
     ok = evaluate_identity(g, filt, basis, args.n, _dim_cap())
-    if args.format == "json":
-        _print_json(
-            {"poly": args.poly, "n": args.n, "verdict": "PASS" if ok else "FAIL"}
-        )
-    else:
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _verdict(ok, {"poly": args.poly, "n": args.n}, [])
 
 
-def _cmd_oracle_ee(args) -> int:
+def _cmd_oracle_ee(args) -> Result:
     g = named_poly(args.poly, max_degree=EE_DEGREE_CAP)
-    ok = is_identity_EE(g)
-    if args.format == "json":
-        _print_json(
-            {"poly": args.poly, "degree": g.degree, "verdict": "PASS" if ok else "FAIL"}
-        )
-    else:
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _verdict(is_identity_EE(g), {"poly": args.poly, "degree": g.degree}, [])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,23 +196,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with partition-filter algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
+    p = sub.add_parser(
+        "lr", help="Littlewood-Richardson coefficients", parents=[text_or_json]
+    )
     p.add_argument("--mu", required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--nu")
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_lr)
 
-    p = sub.add_parser("dims", help="block dimensions for one shape")
+    p = sub.add_parser(
+        "dims", help="block dimensions for one shape", parents=[text_or_json]
+    )
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_dims)
-
-    text_or_json = argparse.ArgumentParser(add_help=False)
-    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("filter", help="filter queries")
     actions = p.add_subparsers(dest="action", required=True)
@@ -316,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="verify the growth exponent")
     p.add_argument("--file", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=_cmd_growth)
+    p.set_defaults(func=_cmd_growth, format="json")
 
     p = sub.add_parser("oracle", help="brute-force tensor checks")
     actions = p.add_subparsers(dest="action", required=True)
@@ -352,13 +283,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def run() -> None:

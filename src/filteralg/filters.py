@@ -22,6 +22,11 @@ from .partitions import (
 )
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _minimal_antichain(gens: Iterable[Partition]) -> tuple[Partition, ...]:
     ordered = sorted(set(gens), key=lambda m: (sum(m), tuple(-p for p in m)))
     keep: list[Partition] = []
@@ -195,11 +200,21 @@ class Filter:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "Filter":
+    def from_json(cls, data) -> "Filter":
+        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("filter file must hold a JSON object")
         if ("k" in data) != ("l" in data):
             raise ValueError("filter file must give both k and l or neither")
         ambient = (data["k"], data["l"]) if "k" in data else None
-        return cls(data.get("generators", []), ambient)
+        if ambient is not None and not all(map(_is_int, ambient)):
+            raise ValueError(f"k and l must be integers, got {ambient}")
+        gens = data.get("generators", [])
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(map(_is_int, g)) for g in gens
+        ):
+            raise ValueError("generators must be a list of lists of integers")
+        return cls(gens, ambient)
 
     @classmethod
     def load(cls, path) -> "Filter":

@@ -465,6 +465,8 @@ def check_ideal(
     generator ``z``.  The input need not be upward closed; that is the
     point of the check.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     _check_cap(basis, n_max, cap)
     members = {check_partition(m) for m in omega_set}
     slices = {

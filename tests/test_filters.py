@@ -267,3 +267,19 @@ def test_json_round_trip(tmp_path):
         Filter.from_json({"k": 2, "generators": []})
     loaded = Filter.from_json(json.loads('{"k":2, "l":0, "generators":[[2,1],[3]]}'))
     assert loaded == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"generators": "2"}',
+        '{"generators": [2]}',
+        '{"generators": [[2, "1"]]}',
+        '{"k": true, "l": 0, "generators": []}',
+        '{"k": 2.0, "l": 0, "generators": []}',
+    ],
+)
+def test_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Filter.from_json(json.loads(text))
