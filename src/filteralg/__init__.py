@@ -37,7 +37,6 @@ from .oracle import (
     CapExceeded,
     MultilinearPoly,
     SuperBasis,
-    TensorSubspace,
     br_cube,
     check_annihilation,
     check_ideal,
@@ -60,7 +59,6 @@ from .oracle import (
     standard_poly,
     standard_tableau,
     star_action,
-    symmetrizer,
     tableau_symmetrizer,
 )
 

@@ -44,7 +44,15 @@ Result = tuple[int, dict, list[str]]
 
 def _dim_cap() -> int:
     raw = os.environ.get("FILTERALG_DIM_CAP")
-    return int(raw) if raw else DIM_CAP
+    if not raw:
+        return DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FILTERALG_DIM_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _verdict(ok: bool, payload: dict, lines: list[str]) -> Result:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable
 
 
@@ -60,7 +61,11 @@ def _normalize(v: dict) -> None:
 
 
 class EchelonBasis:
-    """A reduced row-echelon basis accepting vectors incrementally."""
+    """A reduced row-echelon basis accepting vectors incrementally.
+
+    Vectors must have integer coefficients (scale rational ones with
+    :func:`intify`); any other coefficient raises ``TypeError``.
+    """
 
     __slots__ = ("_rows",)
 
@@ -79,7 +84,7 @@ class EchelonBasis:
         return [pivot for pivot, _ in self._rows]
 
     def _reduced(self, vec: dict) -> dict:
-        v = {k: int(c) for k, c in vec.items() if c}
+        v = {k: index(c) for k, c in vec.items() if c}
         for pivot, row in self._rows:
             c = v.get(pivot)
             if not c:

@@ -30,7 +30,8 @@ The isotypic blocks (:func:`module_W`) never expand a Young
 symmetrizer: the tableau's row and column groups act in two passes, the
 larger one as a sum over each seed word's distinct rearrangements, one
 seed per orbit.  Their seeding work is at most ``(k+l)^n`` times the
-order of the smaller group, so ``DIM_CAP`` bounds it as well.
+order of the smaller group, so ``DIM_CAP`` bounds it as well; the seeds'
+standard-tableau translates then give the block in ``dim W`` inserts.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
@@ -41,7 +42,7 @@ action, the module seeds and the total symmetrizers all call it.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -236,17 +237,6 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
     return add_terms({}, ((compose(p, q), cp * cq) for (p, cp), (q, cq) in pairs))
 
 
-def symmetrizer(kind: str, n: Optional[int] = None, tableau=None) -> dict:
-    """Dispatch on ``'full'`` / ``'sign'`` (need ``n``) or ``'tableau'``."""
-    if kind == "full":
-        return full_symmetrizer(n)
-    if kind == "sign":
-        return sign_symmetrizer(n)
-    if kind == "tableau":
-        return tableau_symmetrizer(tableau)
-    raise ValueError(f"unknown symmetrizer kind {kind!r}")
-
-
 def standard_tableau(lam: Partition) -> list[list[int]]:
     """The row-major standard filling of a shape."""
     rows, nxt = [], 1
@@ -256,71 +246,40 @@ def standard_tableau(lam: Partition) -> list[list[int]]:
     return rows
 
 
+def _standard_tableaux(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every standard filling of a shape, as a tuple of rows.
+
+    The largest entry sits in a corner, so each filling is one corner
+    holding ``n`` on top of a standard filling of the shape without it.
+    """
+    n = sum(lam)
+    if not n:
+        yield ()
+        return
+    for i, p in enumerate(lam):
+        if i + 1 < len(lam) and lam[i + 1] == p:
+            continue
+        rest = lam[:i] + (p - 1,) * (p > 1) + lam[i + 1 :]
+        for sub in _standard_tableaux(rest):
+            row = sub[i] if i < len(sub) else ()
+            yield sub[:i] + (row + (n,),) + sub[i + 1 :]
+
+
 # ---------------------------------------------------------------------------
 # Subspaces of a degree slice.
 
 
-class TensorSubspace:
-    """A subspace of the degree-``n`` slice in canonical echelon form."""
+def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> EchelonBasis:
+    """The isotypic block of the shape inside the degree-``n`` slice.
 
-    __slots__ = ("n", "ambient_dim", "_basis")
+    It is ``V^n * x * Q[S_n]``, where ``x`` is ``e_T = R+ C-`` for the
+    row-major standard tableau ``T`` when the row group ``R`` is at least
+    as large as the column group ``C``, and ``C- R+`` otherwise.  Both
+    generate the same two-sided ideal of the group algebra, so the
+    canonical echelon rows do not depend on the choice.
 
-    def __init__(self, n: int, ambient_dim: int):
-        self.n = n
-        self.ambient_dim = ambient_dim
-        self._basis = EchelonBasis()
-
-    @property
-    def dim(self) -> int:
-        return self._basis.dim
-
-    def rows(self) -> list[dict]:
-        return self._basis.rows()
-
-    def insert(self, vec: dict) -> bool:
-        return self._basis.insert(intify(vec))
-
-    def _insert_int(self, vec: dict) -> bool:
-        return self._basis.insert(vec)
-
-    def contains(self, vec: dict) -> bool:
-        return self._basis.contains(intify(vec))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSubspace)
-            and self.n == other.n
-            and self.ambient_dim == other.ambient_dim
-            and self._basis == other._basis
-        )
-
-    def __repr__(self):
-        return f"TensorSubspace(n={self.n}, dim={self.dim}/{self.ambient_dim})"
-
-
-def _adjacent_transpositions(n: int) -> list[Perm]:
-    out = []
-    for i in range(1, n):
-        img = list(range(1, n + 1))
-        img[i - 1], img[i] = img[i], img[i - 1]
-        out.append(tuple(img))
-    return out
-
-
-def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspace:
-    """Span of the tableau-symmetrized words, closed under the action.
-
-    This is the isotypic block of the shape inside the degree-``n``
-    slice, computed directly: seed with ``w * x`` for every word
-    ``w``, then saturate under the adjacent transpositions.  Here ``x``
-    is ``e_T = R+ C-`` for the row-major standard tableau ``T`` when the
-    row group ``R`` is at least as large as the column group ``C``, and
-    ``C- R+`` otherwise.  Both are quasi-idempotents of the same
-    irreducible, so both generate the same two-sided ideal of the group
-    algebra and hence the same block; the canonical echelon rows do not
-    depend on the choice.
-
-    The symmetrizer is never expanded.  Since the action is a right
+    *Seeds.*  ``V^n * x`` is spanned by ``w * x`` over the words ``w``,
+    and the symmetrizer is never expanded.  Since the action is a right
     action, ``w * x`` is two passes: the larger group ``G`` first, then
     the smaller group ``H``.  Words in one ``G``-orbit give the same
     ``w * G`` up to sign, so there is one seed per orbit, i.e. per
@@ -334,6 +293,14 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspa
     pass and ``(k+l)^n * |H|`` for the second, so ``cap``, which bounds
     the ambient dimension ``(k+l)^n``, bounds the work as well.
 
+    *Translates.*  ``x * Q[S_n]`` has the basis ``x * sigma_S``, one per
+    standard tableau ``S`` (the standard basis of the Specht module),
+    where ``sigma_S`` sends each entry of ``S`` to the entry of ``T`` in
+    the same cell.  So the block is spanned by the ``f_lambda`` translates
+    ``u * sigma_S`` of each row ``u`` of the seed span's basis.  That is
+    ``dim W`` vectors, so every insert grows the block, and past the
+    seeding the work is exactly ``dim W`` twisted actions and inserts.
+
     Results are cached per ``(shape, k, l)`` and must be treated as
     read-only.
     """
@@ -345,29 +312,30 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> TensorSubspa
 
 
 @lru_cache(maxsize=None)
-def _module_W_cached(lam: Partition, k: int, l: int) -> TensorSubspace:
+def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     basis = SuperBasis(k, l)
     n = sum(lam)
-    rows, cols = _tableau_blocks(standard_tableau(lam))
+    tableau = standard_tableau(lam)
+    rows, cols = _tableau_blocks(tableau)
     rows_first = _group_order(rows) >= _group_order(cols)
     first, second = (rows, cols) if rows_first else (cols, rows)
     second_sum = _group_sum(second, n, signed=rows_first)
-    sub = TensorSubspace(n, basis.dim**n)
-    pending: deque[dict] = deque()
+    seeds = EchelonBasis()
     for seed, orbit_sum in _orbit_sums(first, basis, n, signed=not rows_first):
         v = star_group_algebra({seed: 1}, orbit_sum, basis)
         v = {w: c for w, c in v.items() if not _killed(w, second, rows_first, basis)}
         v = star_group_algebra(v, second_sum, basis)
-        if v and sub._insert_int(v):
-            pending.append(v)
-    trans = _adjacent_transpositions(n)
-    while pending:
-        v = pending.popleft()
-        for t in trans:
-            moved = star_action(v, t, basis)
-            if sub._insert_int(moved):
-                pending.append(moved)
-    return sub
+        if v:
+            seeds.insert(v)
+    seed_rows = seeds.rows()
+    block = EchelonBasis()
+    for filling in _standard_tableaux(lam):
+        # sigma_S: each entry of S goes to the entry of T in the same cell.
+        cell = dict(zip(chain.from_iterable(filling), chain.from_iterable(tableau)))
+        sigma = tuple(cell[i] for i in range(1, n + 1))
+        for u in seed_rows:
+            block.insert(star_action(u, sigma, basis))
+    return block
 
 
 def _group_order(blocks: Sequence[Sequence[int]]) -> int:
@@ -435,7 +403,7 @@ def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]], n: int) -
 
 def ideal_subspace(
     omega: Filter, basis: SuperBasis, n: int, cap: int = DIM_CAP
-) -> TensorSubspace:
+) -> EchelonBasis:
     """Degree-``n`` slice of the subspace attached to the filter members."""
     _check_cap(basis, n, cap)
     return _blocks_span(
@@ -445,12 +413,12 @@ def ideal_subspace(
 
 def _blocks_span(
     shapes: Iterable[Partition], basis: SuperBasis, n: int, cap: int
-) -> TensorSubspace:
+) -> EchelonBasis:
     """Sum of the ``module_W`` blocks of the given size-``n`` shapes."""
-    sub = TensorSubspace(n, basis.dim**n)
+    sub = EchelonBasis()
     for lam in shapes:
         for row in module_W(lam, basis, n, cap).rows():
-            sub._insert_int(row)
+            sub.insert(row)
     return sub
 
 
@@ -486,7 +454,7 @@ def check_ideal(
 
 def generated_ideal(
     relations: Iterable[dict], basis: SuperBasis, n: int, cap: int = DIM_CAP
-) -> TensorSubspace:
+) -> EchelonBasis:
     """Degree-``n`` slice of the two-sided ideal spanned by degree-2 relations."""
     _check_cap(basis, n, cap)
     rels = []
@@ -495,7 +463,7 @@ def generated_ideal(
         if any(len(w) != 2 for w in rel):
             raise ValueError("relations must be homogeneous of degree 2")
         rels.append(rel)
-    sub = TensorSubspace(n, basis.dim**n)
+    sub = EchelonBasis()
     if n >= 2:
         for i in range(n - 1):
             lefts = list(basis.words(i))
@@ -503,7 +471,7 @@ def generated_ideal(
             for rel in rels:
                 for w1 in lefts:
                     for w2 in rights:
-                        sub._insert_int({w1 + r + w2: c for r, c in rel.items()})
+                        sub.insert({w1 + r + w2: c for r, c in rel.items()})
     return sub
 
 

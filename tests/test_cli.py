@@ -274,12 +274,15 @@ def test_malformed_filter_file(doc, message, tmp_path, capsys):
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("cap, code", [("8", 3), ("x", 2)])
+@pytest.mark.parametrize("cap, code", [("8", 3), ("x", 2), ("0", 2), ("-5", 2)])
 def test_dim_cap_override(cap, code, monkeypatch, capsys):
-    # 3**3 = 27 words exceed a cap of 8; "x" is not a number.
+    # 3**3 = 27 words exceed a cap of 8; the others are not positive integers.
     monkeypatch.setenv("FILTERALG_DIM_CAP", cap)
     assert main(["oracle", "decompose", "--k", "2", "--l", "1", "--n", "3"]) == code
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    if code == 2:
+        assert "FILTERALG_DIM_CAP" in err
 
 
 def _mostly(valid, junk):

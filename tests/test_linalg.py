@@ -1,8 +1,10 @@
+from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
-from filteralg.linalg import add_terms, dense_rank
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank
 
 
 def test_add_terms_drops_cancelled_keys_in_place():
@@ -10,6 +12,21 @@ def test_add_terms_drops_cancelled_keys_in_place():
     result = add_terms(out, [("a", -1), ("c", 3), ("b", 1), ("c", -3)])
     assert result is out
     assert out == {"b": 3}
+
+
+def test_echelon_refuses_non_integer_coefficients():
+    # int() used to truncate 1/2 to a stored zero, or to a zero pivot.
+    basis = EchelonBasis()
+    with pytest.raises(TypeError):
+        basis.insert({(1,): 1, (2,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        basis.insert({(1,): Fraction(1, 2)})
+    assert basis.dim == 0
+    assert basis.insert({(1,): 2, (2,): 1})
+    with pytest.raises(TypeError):
+        basis.contains({(1,): 1, (2,): Fraction(1, 2)})
+    assert basis.contains({(1,): 4, (2,): 2})
+    assert basis.rows() == [{(1,): 2, (2,): 1}]
 
 
 def _reference_rank(rows):

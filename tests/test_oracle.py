@@ -8,12 +8,14 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filteralg.dims import w_dim
+from filteralg.dims import f_lambda, w_dim
 from filteralg.filters import Filter
 from filteralg.oracle import (
     DEGREE_CAP,
     CapExceeded,
+    Perm,
     SuperBasis,
+    _standard_tableaux,
     check_ideal,
     commutator_product,
     compose,
@@ -31,7 +33,6 @@ from filteralg.oracle import (
     star_action,
     star_group_algebra,
     star_word,
-    symmetrizer,
     tableau_symmetrizer,
 )
 from filteralg.partitions import c_stat, enumerate_partitions
@@ -93,11 +94,6 @@ def test_symmetrizers():
     assert sign_symmetrizer(2) == {(1, 2): 1, (2, 1): -1}
     assert tableau_symmetrizer([[1, 2]]) == {(1, 2): 1, (2, 1): 1}
     assert tableau_symmetrizer([[1], [2]]) == {(1, 2): 1, (2, 1): -1}
-    assert symmetrizer("full", 2) == full_symmetrizer(2)
-    assert symmetrizer("sign", 2) == sign_symmetrizer(2)
-    assert symmetrizer("tableau", tableau=[[1, 2], [3]]) == tableau_symmetrizer(
-        [[1, 2], [3]]
-    )
     with pytest.raises(ValueError):
         tableau_symmetrizer([[1, 3]])
 
@@ -208,9 +204,19 @@ def test_module_independent_of_tableau_choice():
             assert span_row == span_col, (lam, basis)
 
 
+def _adjacent_transpositions(n: int) -> list[Perm]:
+    out = []
+    for i in range(1, n):
+        img = list(range(1, n + 1))
+        img[i - 1], img[i] = img[i], img[i - 1]
+        out.append(tuple(img))
+    return out
+
+
 def _span_of(e, basis, n):
+    """The reference block: ``w * e`` for every word ``w``, saturated
+    under the adjacent transpositions until nothing new appears."""
     from filteralg.linalg import EchelonBasis
-    from filteralg.oracle import _adjacent_transpositions
 
     ech = EchelonBasis()
     pending = []
@@ -291,7 +297,9 @@ def test_module_matches_expanded_symmetrizer(inputs):
     assert module_W(lam, basis, n).rows() == ref.rows()
 
 
-@pytest.mark.parametrize("lam, kl", [((12,), (2, 0)), ((1,) * 12, (0, 2))])
+@pytest.mark.parametrize(
+    "lam, kl", [((12,), (2, 0)), ((1,) * 12, (0, 2)), ((6,) + (1,) * 6, (1, 1))]
+)
 def test_cap_bounds_module_work(lam, kl, monkeypatch):
     # An expanded symmetrizer would apply all 12! permutations to each word.
     from filteralg import oracle
@@ -308,6 +316,47 @@ def test_cap_bounds_module_work(lam, kl, monkeypatch):
     start = time.perf_counter()
     assert module_W(lam, SuperBasis(*kl), 12).dim == w_dim(lam, *kl)
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize(
+    "lam, kl",
+    [((), (1, 0)), ((3, 2, 1), (2, 1)), ((2, 2, 1), (0, 3)), ((5, 3), (2, 0))]
+    + [(lam, (1, 1)) for lam in enumerate_partitions(5)],
+)
+def test_every_block_insert_grows(lam, kl, monkeypatch):
+    # Every EchelonBasis in module_W logs its inserts.  The returned block's
+    # log must be dim W inserts that all grew it; the seed basis is not read.
+    from filteralg import oracle
+    from filteralg.linalg import EchelonBasis
+
+    class Logged(EchelonBasis):
+        __slots__ = ("grew",)
+
+        def __init__(self):
+            super().__init__()
+            self.grew = []
+
+        def insert(self, vec):
+            self.grew.append(super().insert(vec))
+            return self.grew[-1]
+
+    monkeypatch.setattr(oracle, "EchelonBasis", Logged)
+    block = oracle._module_W_cached.__wrapped__(lam, *kl)
+    assert block.grew == [True] * w_dim(lam, *kl)
+
+
+def test_standard_tableaux():
+    assert list(_standard_tableaux(())) == [()]
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            fillings = list(_standard_tableaux(lam))
+            assert len(set(fillings)) == len(fillings) == f_lambda(lam), lam
+            for rows in fillings:
+                assert tuple(map(len, rows)) == lam
+                assert sorted(e for row in rows for e in row) == list(range(1, n + 1))
+                assert all(list(row) == sorted(row) for row in rows)
+                for upper, lower in zip(rows, rows[1:]):
+                    assert all(a < b for a, b in zip(upper, lower)), rows
 
 
 def test_ideal_subspace_examples():
