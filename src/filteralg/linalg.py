@@ -70,7 +70,7 @@ class EchelonBasis:
     __slots__ = ("_rows",)
 
     def __init__(self):
-        self._rows: list[tuple[object, dict]] = []  # (pivot, row), sorted by pivot
+        self._rows: dict[object, dict] = {}  # pivot -> row
 
     @property
     def dim(self) -> int:
@@ -78,18 +78,19 @@ class EchelonBasis:
 
     def rows(self) -> list[dict]:
         """Canonical row list (fresh copies, pivot order)."""
-        return [dict(row) for _, row in self._rows]
+        return [dict(self._rows[pivot]) for pivot in self.pivots()]
 
     def pivots(self) -> list:
-        return [pivot for pivot, _ in self._rows]
+        return sorted(self._rows)
 
     def _reduced(self, vec: dict) -> dict:
         v = {k: index(c) for k, c in vec.items() if c}
-        for pivot, row in self._rows:
-            c = v.get(pivot)
-            if not c:
-                continue
-            p = row[pivot]
+        # Every row vanishes at the other rows' pivots, so eliminating one
+        # pivot never brings another into the support: only the pivots in
+        # the vector's own support need a step, in any order.
+        for pivot in v.keys() & self._rows.keys():
+            row = self._rows[pivot]
+            c, p = v[pivot], row[pivot]
             v = add_terms(
                 {key: p * val for key, val in v.items()},
                 [(key, -c * rv) for key, rv in row.items()],
@@ -107,7 +108,7 @@ class EchelonBasis:
         _normalize(v)
         pivot = min(v)
         p = v[pivot]
-        for idx, (opiv, row) in enumerate(self._rows):
+        for opiv, row in self._rows.items():
             c = row.get(pivot)
             if not c:
                 continue
@@ -116,9 +117,8 @@ class EchelonBasis:
                 [(key, -c * rv) for key, rv in v.items()],
             )
             _normalize(new)
-            self._rows[idx] = (opiv, new)
-        self._rows.append((pivot, v))
-        self._rows.sort(key=lambda item: item[0])
+            self._rows[opiv] = new
+        self._rows[pivot] = v
         return True
 
     def __eq__(self, other):

@@ -9,14 +9,26 @@ the walk over the shapes that avoid a set of generators.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Validate an iterable of parts and return it as a partition tuple."""
-    lam = tuple(int(p) for p in parts)
+    """Validate an iterable of parts and return it as a partition tuple.
+
+    A part must be an integer in the sense of ``operator.index`` and not
+    a ``bool``; anything else (``2.7``, ``"3"``) raises ``ValueError``
+    rather than being truncated or parsed.
+    """
+    lam = tuple(parts)
+    if bool in map(type, lam):
+        raise ValueError(f"parts must be integers, got {lam}")
+    try:
+        lam = tuple(map(index, lam))
+    except TypeError:
+        raise ValueError(f"parts must be integers, got {lam}") from None
     for i, p in enumerate(lam):
         if p < 1:
             raise ValueError(f"parts must be positive integers, got {p}")

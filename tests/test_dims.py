@@ -29,6 +29,14 @@ def test_f_lambda_examples():
     assert sum(f_lambda(lam) ** 2 for lam in enumerate_partitions(4)) == 24
 
 
+def test_non_integer_parts_rejected():
+    # f_lambda((3.5, 1)) used to be f_lambda((3, 1)) == 3.
+    for call in (lambda: f_lambda((3.5, 1)), lambda: w_dim((2.0,), 1, 0),
+                 lambda: outer_product((2,), (True,))):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_f_lambda_against_corner_recursion():
     for lam in all_partitions_upto(12):
         assert f_lambda(lam) == f_lambda_by_recursion(lam), lam

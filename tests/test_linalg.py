@@ -100,3 +100,38 @@ def test_dense_rank_edge_cases():
     assert dense_rank([[0, 0], [0, 0]]) == 0
     assert dense_rank([[2, 4], [1, 2], [1, 2]]) == 1
     assert dense_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def _naive_reduced(basis, vec):
+    """Reduction by every stored row in pivot order, whether or not its
+    pivot is in the vector's support."""
+    v = {key: c for key, c in vec.items() if c}
+    for row in basis.rows():
+        pivot = min(row)
+        c = v.get(pivot)
+        if c:
+            p = row[pivot]
+            v = add_terms(
+                {key: p * val for key, val in v.items()},
+                [(key, -c * rv) for key, rv in row.items()],
+            )
+    return v
+
+
+_sparse = st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5)
+
+
+@given(st.lists(_sparse, max_size=8), st.lists(_sparse, max_size=4))
+def test_reduction_by_pivot_index_matches_naive(inserts, probes):
+    basis = EchelonBasis()
+    for vec in inserts:
+        reduced = _naive_reduced(basis, vec)
+        assert basis._reduced(vec) == reduced
+        assert basis.insert(vec) == bool(reduced)
+        rows, pivots = basis.rows(), basis.pivots()
+        assert pivots == sorted(pivots) == [min(row) for row in rows]
+        for row in rows:
+            assert all(q == min(row) or q not in row for q in pivots)
+    for vec in inserts + probes:
+        assert basis._reduced(vec) == _naive_reduced(basis, vec)
+        assert basis.contains(vec) == (not _naive_reduced(basis, vec))

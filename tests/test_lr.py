@@ -1,5 +1,7 @@
 from math import comb
 
+from hypothesis import example, given, settings, strategies as st
+
 from filteralg.dims import f_lambda, iter_super_tableaux
 from filteralg.lr import count_lr_tableaux, lr_coefficient, outer_product
 from filteralg.partitions import conjugate, contains, enumerate_partitions
@@ -80,6 +82,8 @@ def test_coefficient_examples():
 def test_outer_product_examples():
     assert outer_product((1,), (1,)).terms == {(2,): 1, (1, 1): 1}
     assert outer_product((2, 1), ()).terms == {(2, 1): 1}
+    assert outer_product((), (2, 1)).terms == {(2, 1): 1}
+    assert outer_product((), ()).terms == {(): 1}
     assert outer_product((2, 1), (1,)).terms == {
         (3, 1): 1,
         (2, 2): 1,
@@ -106,6 +110,33 @@ def test_against_polynomial_oracle():
     ]
     for mu, lam in pairs:
         assert outer_product(mu, lam).terms == outer_product_by_polynomials(mu, lam)
+
+
+_SHAPES_UPTO_7 = all_partitions_upto(7)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_SHAPES_UPTO_7), st.sampled_from(_SHAPES_UPTO_7))
+@example((), ())
+@example((), (3, 1))
+@example((2, 2, 1), ())
+@example((1, 1, 1, 1, 1, 1, 1), (7,))
+def test_generated_expansion_matches_enumerator(mu, lam):
+    # The generated terms are exactly the nonzero per-shape counts, in the
+    # order enumerate_partitions lists the shapes, and do not depend on
+    # which argument is taken as the content.
+    n = sum(mu) + sum(lam)
+    expected = {}
+    for nu in enumerate_partitions(n):
+        c = count_lr_tableaux(mu, lam, nu)
+        if c:
+            expected[nu] = c
+    exp = outer_product(mu, lam)
+    assert list(exp.terms.items()) == list(expected.items())
+    assert exp.degree == n
+    swapped = outer_product(lam, mu)
+    assert list(swapped.terms.items()) == list(exp.terms.items())
+    assert swapped.degree == n
 
 
 def test_symmetry_exhaustive():

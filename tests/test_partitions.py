@@ -41,6 +41,29 @@ def test_check_partition_rejects_bad_input():
     assert check_partition(()) == ()
 
 
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "parts", [[2.7, 1], [3.0], [3, 1.0], [True], [2, False], ["3"], "31", [3, None]]
+)
+def test_check_partition_rejects_non_integer_parts(parts):
+    # int() used to truncate 2.7 to 2 and parse "3".
+    with pytest.raises(ValueError):
+        check_partition(parts)
+
+
+def test_check_partition_accepts_index_types():
+    lam = check_partition([_Index(3), 1])
+    assert lam == (3, 1)
+    assert all(type(p) is int for p in lam)
+
+
 def test_parse_and_format_round_trip():
     assert parse_partition("7^3,2^4") == (7, 7, 7, 2, 2, 2, 2)
     assert parse_partition("3,2,1") == (3, 2, 1)
