@@ -25,7 +25,7 @@ from .dims import (
     schur_dim_by_enumeration,
     w_dim,
 )
-from .filters import Filter, classical_identity_degree, minimize
+from .filters import Filter, classical_identity_degree
 from .series import (
     DimensionSeries,
     GrowthReport,

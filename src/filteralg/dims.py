@@ -37,7 +37,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition, conjugate, in_hook
+from .partitions import Partition, check_alphabet, check_partition, conjugate, in_hook
 
 
 def f_lambda(lam) -> int:
@@ -75,16 +75,9 @@ def _f_rec(lam: Partition) -> int:
     return total
 
 
-def _check_alphabet(k: int, l: int) -> tuple[int, int]:
-    k, l = int(k), int(l)
-    if k < 0 or l < 0:
-        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
-    return k, l
-
-
 def schur_dim(lam, k: int, l: int) -> int:
     """Number of ``(k,l)``-semistandard tableaux of shape ``lam``."""
-    return _schur_dim(check_partition(lam), *_check_alphabet(k, l))
+    return _schur_dim(check_partition(lam), *check_alphabet(k, l))
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +114,7 @@ def _subshapes(bounds: Partition) -> Iterator[Partition]:
             for rest in rec(i + 1, first):
                 yield (first,) + rest
 
-    seen = set()
-    for shape in rec(0, bounds[0] if bounds else 0):
-        if shape not in seen:
-            seen.add(shape)
-            yield shape
+    return rec(0, bounds[0] if bounds else 0)
 
 
 def _ssyt_count(mu: Partition, k: int) -> int:
@@ -196,7 +185,7 @@ def _hstrip_extensions(phi: Partition, theta: Partition) -> Iterator[Partition]:
 
 def w_dim(lam, k: int, l: int) -> int:
     """Dimension of the full isotypic block: ``f_lambda * schur_dim``."""
-    return _w_dim(check_partition(lam), *_check_alphabet(k, l))
+    return _w_dim(check_partition(lam), *check_alphabet(k, l))
 
 
 def _w_dim(lam: Partition, k: int, l: int) -> int:

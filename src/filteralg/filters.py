@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .partitions import (
     Partition,
+    check_alphabet,
     check_partition,
     contains,
     enumerate_avoiding,
@@ -48,9 +49,7 @@ class Filter:
     ):
         gens = [check_partition(g) for g in generators]
         if ambient is not None:
-            k, l = int(ambient[0]), int(ambient[1])
-            if k < 0 or l < 0:
-                raise ValueError("ambient dimensions must be nonnegative")
+            k, l = check_alphabet(ambient[0], ambient[1])
             ambient = (k, l)
             gens.append(((l + 1),) * (k + 1))
         object.__setattr__(self, "generators", _minimal_antichain(gens))
@@ -225,11 +224,6 @@ class Filter:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh)
             fh.write("\n")
-
-
-def minimize(gens: Iterable, ambient: Optional[tuple[int, int]] = None) -> Filter:
-    """Filter generated by ``gens`` with the minimal antichain extracted."""
-    return Filter(gens, ambient)
 
 
 def classical_identity_degree(c: int, k: int) -> int:

@@ -16,28 +16,31 @@ Conventions, fixed once and pinned by the associativity and sign tests:
 Everything downstream is spans of such vectors inside the full
 ``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
 bases so that subspace equality is literal comparison.  Hard caps keep
-the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096``, and the degree
-of the sums over a whole symmetric group (:func:`check_annihilation`)
-at ``DEGREE_CAP = 7``; the public symmetrizers refuse to list a group
-(``|R| * |C|`` for a tableau) of order above ``7!``.  The EE criterion
+the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096``; the public
+symmetrizers refuse to list a group (``|R| * |C|`` for a tableau) of
+order above ``DEGREE_CAP! = 7!``, and :func:`check_annihilation` a
+value of total degree above ``DEGREE_CAP``.  The EE criterion
 (:func:`is_identity_EE`) is decided exhaustively up to degree
 ``EE_DEGREE_CAP = 9``, and the dimension of its identity space
 (:func:`ee_identity_kernel_dim`, a dense rank over ``d!`` columns) up
 to ``KERNEL_DEGREE_CAP = 6``.  Exceeding a cap raises
 :class:`CapExceeded`, never approximates.
 
-The isotypic blocks (:func:`module_W`) never expand a Young
-symmetrizer: the tableau's row and column groups act in two passes, the
-larger one as a sum over each seed word's distinct rearrangements, one
-seed per orbit.  Their seeding work is at most ``(k+l)^n`` times the
-order of the smaller group, so ``DIM_CAP`` bounds it as well; the seeds'
-standard-tableau translates then give the block in ``dim W`` inserts.
+A sum over a Young subgroup ``G`` (the permutations preserving some
+blocks of positions) is taken one orbit of ``G`` on words at a time
+(:func:`_orbit_sums`) instead of by listing ``G``.  :func:`module_W`
+does so for the larger of a tableau's row and column groups and lists
+the smaller; its seeding work is at most ``(k+l)^n`` times the order of
+the smaller group, so ``DIM_CAP`` bounds it as well, and the seeds'
+standard-tableau translates give the block in ``dim W`` inserts.  With
+``G = S_n``, :func:`check_annihilation` does one twisted action per
+term of the value and sign.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
 :func:`filteralg.linalg.add_terms`, and :func:`star_group_algebra` is
-the only place the twisted action is applied: the per-permutation
-action, the module seeds and the total symmetrizers all call it.
+the only loop applying the twisted action to a vector: the
+per-permutation action and the module seeds call it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
 from .linalg import EchelonBasis, add_terms, dense_rank, intify
-from .partitions import Partition, check_partition, enumerate_partitions
+from .partitions import Partition, check_alphabet, check_partition, enumerate_partitions
 
 DIM_CAP = 4096
 DEGREE_CAP = 7  # caps d! at 5040
@@ -77,8 +80,9 @@ class SuperBasis:
     l: int
 
     def __post_init__(self):
-        if self.k < 0 or self.l < 0:
-            raise ValueError("basis dimensions must be nonnegative")
+        k, l = check_alphabet(self.k, self.l)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @property
     def dim(self) -> int:
@@ -172,18 +176,13 @@ def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
 def full_symmetrizer(n: int) -> dict:
     """Sum of all permutations of ``1..n``."""
     _check_group_cap([range(1, n + 1)])
-    return _symmetric_sum(n, signed=False)
+    return _group_sum([range(1, n + 1)], n, signed=False)
 
 
 def sign_symmetrizer(n: int) -> dict:
     """Signed sum of all permutations of ``1..n``."""
     _check_group_cap([range(1, n + 1)])
-    return _symmetric_sum(n, signed=True)
-
-
-def _symmetric_sum(n: int, signed: bool) -> dict:
-    # Uncapped; about twice as fast as _group_sum on the whole group.
-    return {p: perm_sign(p) if signed else 1 for p in permutations(range(1, n + 1))}
+    return _group_sum([range(1, n + 1)], n, signed=True)
 
 
 def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
@@ -321,7 +320,7 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     first, second = (rows, cols) if rows_first else (cols, rows)
     second_sum = _group_sum(second, n, signed=rows_first)
     seeds = EchelonBasis()
-    for seed, orbit_sum in _orbit_sums(first, basis, n, signed=not rows_first):
+    for seed, orbit_sum in _orbit_sums(basis.words(n), first, basis, not rows_first):
         v = star_group_algebra({seed: 1}, orbit_sum, basis)
         v = {w: c for w, c in v.items() if not _killed(w, second, rows_first, basis)}
         v = star_group_algebra(v, second_sum, basis)
@@ -344,30 +343,35 @@ def _group_order(blocks: Sequence[Sequence[int]]) -> int:
 
 
 def _orbit_sums(
-    blocks: Sequence[Sequence[int]], basis: SuperBasis, n: int, signed: bool
+    words: Iterable[Word],
+    blocks: Sequence[Sequence[int]],
+    basis: SuperBasis,
+    signed: bool,
 ) -> Iterator[tuple[Word, dict]]:
-    """One ``(seed, element)`` pair per orbit of the block group on words.
+    """One ``(seed, element)`` pair per orbit of the block group on ``words``.
 
     The group ``G`` preserving each block rearranges the letters inside
     each block, so an orbit is named by the multiset of letters in each
-    block.  ``element`` holds one permutation ``p`` of ``G`` per word of
-    the orbit, carrying the seed onto that word, with coefficient ``1``
-    (``G+``) or ``sign(p)`` (``G-``, ``signed=True``).  Then
-    ``seed * element`` is ``seed * G+`` (or ``seed * G-``) divided by the
-    order of the seed's stabiliser.  Orbits whose stabiliser cancels the
-    seed (see :func:`_killed`) are left out.
+    block.  The first given word of an orbit is its seed, and ``element``
+    holds one permutation ``p`` of ``G`` per given word ``w`` of the
+    orbit, carrying the seed onto it (``star_word(seed, p) = (e, w)``),
+    with coefficient ``1`` (``G+``) or ``sign(p)`` (``G-``,
+    ``signed=True``); then ``w * G± = e * element[p] * (seed * G±)``.
+    Given every word of a degree, ``seed * element`` is ``seed * G±``
+    divided by the order of the seed's stabiliser.  Orbits whose
+    stabiliser cancels the seed (see :func:`_killed`) are left out.
     """
     orbits: dict = {}
-    for w in basis.words(n):
+    for w in words:
         key = tuple(tuple(sorted(w[p - 1] for p in b)) for b in blocks)
         orbits.setdefault(key, []).append(w)
-    for words in orbits.values():
-        seed = words[0]
+    for orbit in orbits.values():
+        seed = orbit[0]
         if _killed(seed, blocks, signed, basis):
             continue
         element = {}
-        for w in words:
-            p = _carrying(seed, w, blocks, n)
+        for w in orbit:
+            p = _carrying(seed, w, blocks)
             element[p] = perm_sign(p) if signed else 1
         yield seed, element
 
@@ -389,9 +393,9 @@ def _killed(
     return False
 
 
-def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]], n: int) -> Perm:
+def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]]) -> Perm:
     """A block-preserving ``p`` with ``word[i] = seed[p(i)]``: ``seed * p ~ word``."""
-    img = [0] * n
+    img = [0] * len(seed)
     for block in blocks:
         sources: dict = {}
         for pos in block:
@@ -827,15 +831,6 @@ def _signs(par: int, n: int) -> list[int]:
     return [-1 if ch == "1" else 1 for ch in reversed(format(par, f"0{n}b"))]
 
 
-@lru_cache(maxsize=None)
-def _word_symmetrized(word: Word, k: int, l: int, signed: bool) -> tuple:
-    # The caller has checked the degree against its own cap.
-    n = len(word)
-    element = _symmetric_sum(n, signed)
-    out = star_group_algebra({word: 1}, element, SuperBasis(k, l))
-    return tuple(sorted(out.items()))
-
-
 def check_annihilation(
     g: MultilinearPoly,
     monomials: Sequence[Word],
@@ -844,10 +839,12 @@ def check_annihilation(
 ) -> bool:
     """True iff ``g(monomials)`` is killed by both total symmetrizers.
 
-    The substituted value is starred with the full and the signed sums
-    over the whole symmetric group of the total degree; both products
-    must vanish, which certifies that the value has no component in the
-    single-row or single-column blocks.
+    The value, of total degree ``n``, must vanish under the full and
+    the signed sums over ``S_n``, which certifies that it has no
+    component in the single-row or single-column blocks.  By orbits
+    (:func:`_orbit_sums` with one block), ``value * S±`` is the sum of
+    the nonzero ``seed * S±`` times ``sum element[p] * e * value[w]``
+    over ``(e, w) = star_word(seed, p)``, so each such scalar must be 0.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
@@ -862,14 +859,11 @@ def check_annihilation(
         raise CapExceeded(f"total degree {n} exceeds cap {cap}")
     value = _substitute(g.int_coeffs(), words)
     for signed in (False, True):
-        acc = add_terms(
-            {},
-            (
-                (w2, c * s)
-                for w, c in value.items()
-                for w2, s in _word_symmetrized(w, basis.k, basis.l, signed)
-            ),
-        )
-        if acc:
-            return False
+        for seed, element in _orbit_sums(value, [range(1, n + 1)], basis, signed):
+            total = 0
+            for p, c in element.items():
+                sgn, w = star_word(seed, p, basis)
+                total += c * sgn * value[w]
+            if total:
+                return False
     return True

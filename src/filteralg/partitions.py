@@ -2,15 +2,16 @@
 
 A partition is a plain ``tuple[int, ...]`` with positive, weakly
 decreasing parts; ``()`` is the empty partition.  These helpers are the
-index layer for the whole package: diagram containment, conjugation,
-hook membership, hook-rectangular shapes, restricted enumeration and
-the walk over the shapes that avoid a set of generators.
+index layer for the whole package: validation of shapes and of the
+alphabet sizes ``(k, l)``, diagram containment, conjugation, hook
+membership, hook-rectangular shapes, enumeration and the walk over the
+shapes that avoid a set of generators.
 """
 
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
 
@@ -22,19 +23,35 @@ def check_partition(parts: Iterable[int]) -> Partition:
     a ``bool``; anything else (``2.7``, ``"3"``) raises ``ValueError``
     rather than being truncated or parsed.
     """
-    lam = tuple(parts)
-    if bool in map(type, lam):
-        raise ValueError(f"parts must be integers, got {lam}")
-    try:
-        lam = tuple(map(index, lam))
-    except TypeError:
-        raise ValueError(f"parts must be integers, got {lam}") from None
+    lam = _integers(tuple(parts), "parts")
     for i, p in enumerate(lam):
         if p < 1:
             raise ValueError(f"parts must be positive integers, got {p}")
         if i and lam[i - 1] < p:
             raise ValueError(f"parts must be weakly decreasing, got {lam}")
     return lam
+
+
+def check_alphabet(k, l) -> tuple[int, int]:
+    """Validate the numbers ``k`` of even and ``l`` of odd letters.
+
+    Each must be a nonnegative integer in the sense of ``operator.index``
+    and not a ``bool``, as a part must be in :func:`check_partition`;
+    anything else raises ``ValueError``.
+    """
+    k, l = _integers((k, l), "k and l")
+    if k < 0 or l < 0:
+        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
+    return k, l
+
+
+def _integers(values: tuple, what: str) -> tuple[int, ...]:
+    if bool in map(type, values):
+        raise ValueError(f"{what} must be integers, got {values}")
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
 
 
 def parse_partition(text: str) -> Partition:
@@ -111,37 +128,19 @@ def c_stat(lam: Partition) -> int:
     return sum(lam) - (lam[0] if lam else 0)
 
 
-def enumerate_partitions(
-    n: int, hook: Optional[tuple[int, int]] = None
-) -> Iterator[Partition]:
-    """All partitions of ``n`` in reverse-lexicographic order.
-
-    With ``hook=(k, l)`` only shapes whose row ``k+1`` is at most ``l``
-    are produced; the bound is applied during generation rather than by
-    filtering, so narrow hooks stay cheap at large ``n``.
-    """
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of ``n`` in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if hook is None:
-        yield from _descend(n, n, 0, None, 0)
-    else:
-        k, l = hook
-        if k < 0 or l < 0:
-            raise ValueError("hook parameters must be nonnegative")
-        yield from _descend(n, n, 0, k, l)
+    yield from _descend(n, n)
 
 
-def _descend(
-    n: int, max_part: int, row: int, k: Optional[int], l: int
-) -> Iterator[Partition]:
+def _descend(n: int, max_part: int) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    cap = max_part
-    if k is not None and row >= k:
-        cap = min(cap, l)
-    for first in range(min(cap, n), 0, -1):
-        for rest in _descend(n - first, first, row + 1, k, l):
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _descend(n - first, first):
             yield (first,) + rest
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from filteralg.dims import f_lambda, hs_eval, w_dim
-from filteralg.filters import Filter, classical_identity_degree, minimize
+from filteralg.filters import Filter, classical_identity_degree
 from filteralg.lr import outer_product
 from filteralg.oracle import (
     SuperBasis,
@@ -27,7 +27,7 @@ from filteralg.oracle import (
     popov5a,
     popov5b,
 )
-from filteralg.partitions import contains, enumerate_partitions
+from filteralg.partitions import contains, enumerate_partitions, in_hook
 from filteralg.series import verify_growth
 
 
@@ -49,7 +49,8 @@ def test_criterion_1_hook_decomposition():
             for n in range(11):
                 total = sum(
                     w_dim(lam, k, l)
-                    for lam in enumerate_partitions(n, hook=(k, l))
+                    for lam in enumerate_partitions(n)
+                    if in_hook(lam, k, l)
                 )
                 ok = ok and total == (k + l) ** n
     _report("1 hook decomposition sums", ok, t0)
@@ -58,7 +59,7 @@ def test_criterion_1_hook_decomposition():
 def test_criterion_2_hook_character_sum():
     t0 = time.perf_counter()
     ok = all(
-        sum(f_lambda(lam) for lam in enumerate_partitions(n, hook=(1, 1)))
+        sum(f_lambda(lam) for lam in enumerate_partitions(n) if in_hook(lam, 1, 1))
         == 2 ** (n - 1)
         for n in range(1, 17)
     )
@@ -201,8 +202,8 @@ def test_criterion_10_minimization():
     ok = True
     for _ in range(20):
         gens = rng.sample(shapes, rng.randint(1, 7))
-        f = minimize(gens)
-        ok = ok and minimize(f.generators).generators == f.generators
+        f = Filter(gens)
+        ok = ok and Filter(f.generators).generators == f.generators
         ok = ok and all(
             not contains(a, b)
             for a in f.generators

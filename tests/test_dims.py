@@ -13,8 +13,10 @@ from filteralg.dims import (
     schur_dim_by_enumeration,
     w_dim,
 )
+from filteralg.filters import Filter
 from filteralg.lr import lr_coefficient, outer_product
-from filteralg.partitions import conjugate, enumerate_partitions, in_hook
+from filteralg.oracle import SuperBasis
+from filteralg.partitions import check_alphabet, conjugate, enumerate_partitions, in_hook
 
 
 def all_partitions_upto(n_max):
@@ -59,9 +61,10 @@ def test_schur_dim_examples():
 
 def test_schur_dim_of_hooks_in_minimal_superspace():
     for n in range(1, 9):
-        for lam in enumerate_partitions(n, hook=(1, 1)):
-            assert schur_dim(lam, 1, 1) == 2
-            assert schur_dim_by_enumeration(lam, 1, 1) == 2
+        for lam in enumerate_partitions(n):
+            if in_hook(lam, 1, 1):
+                assert schur_dim(lam, 1, 1) == 2
+                assert schur_dim_by_enumeration(lam, 1, 1) == 2
 
 
 def test_schur_dim_vanishes_outside_hook():
@@ -99,7 +102,9 @@ def test_hook_decomposition_sums():
         for l in range(3):
             for n in range(8):
                 total = sum(
-                    w_dim(lam, k, l) for lam in enumerate_partitions(n, hook=(k, l))
+                    w_dim(lam, k, l)
+                    for lam in enumerate_partitions(n)
+                    if in_hook(lam, k, l)
                 )
                 assert total == (k + l) ** n, (k, l, n)
 
@@ -107,7 +112,7 @@ def test_hook_decomposition_sums():
 def test_hook_character_sum():
     for n in range(1, 17):
         assert (
-            sum(f_lambda(lam) for lam in enumerate_partitions(n, hook=(1, 1)))
+            sum(f_lambda(lam) for lam in enumerate_partitions(n) if in_hook(lam, 1, 1))
             == 2 ** (n - 1)
         )
 
@@ -125,6 +130,36 @@ def test_negative_alphabet_sizes_rejected(k, l):
     for fn in (schur_dim, w_dim, dimension_record):
         with pytest.raises(ValueError):
             fn((3,), k, l)
+    with pytest.raises(ValueError):
+        Filter([(3,)], (k, l))
+    with pytest.raises(ValueError):
+        SuperBasis(k, l)
+
+
+@pytest.mark.parametrize("k, l", [(2.7, 1), (2.0, 0), ("2", 0), (True, 0), (1, False), (None, 1)])
+def test_non_integer_alphabet_sizes_rejected(k, l):
+    # int() used to give schur_dim((2, 1), 2.7, 1) == 8, accept "2" and
+    # True, and turn the ambient (2.5, 0) into (2, 0).
+    with pytest.raises(ValueError):
+        check_alphabet(k, l)
+    for fn in (schur_dim, w_dim, dimension_record):
+        with pytest.raises(ValueError):
+            fn((2, 1), k, l)
+    with pytest.raises(ValueError):
+        Filter([(3,)], (k, l))
+    with pytest.raises(ValueError):
+        SuperBasis(k, l)
+
+
+def test_alphabet_sizes_accept_index_types():
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert check_alphabet(Two(), 0) == (2, 0)
+    assert SuperBasis(Two(), 1) == SuperBasis(2, 1)
+    assert Filter([(3,)], (Two(), 1)).ambient == (2, 1)
+    assert schur_dim((2, 1), Two(), 1) == schur_dim((2, 1), 2, 1)
 
 
 def test_hs_eval_examples():

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from filteralg.filters import Filter, classical_identity_degree, minimize
+from filteralg.filters import Filter, classical_identity_degree
 from filteralg.partitions import contains, enumerate_partitions
 
 
@@ -39,9 +39,9 @@ def test_member_examples():
 
 
 def test_minimize_examples():
-    assert set(minimize([(2, 1), (2, 2), (3,)]).generators) == {(2, 1), (3,)}
-    assert minimize([(5, 2)]).generators == ((5, 2),)
-    assert minimize([(1, 1), (2,), (1,)]).generators == ((1,),)
+    assert set(Filter([(2, 1), (2, 2), (3,)]).generators) == {(2, 1), (3,)}
+    assert Filter([(5, 2)]).generators == ((5, 2),)
+    assert Filter([(1, 1), (2,), (1,)]).generators == ((1,),)
 
 
 def test_minimize_is_idempotent_antichain():
@@ -49,8 +49,8 @@ def test_minimize_is_idempotent_antichain():
     shapes = all_partitions_upto(6)
     for _ in range(30):
         gens = rng.sample(shapes, rng.randint(1, 6))
-        f = minimize(gens)
-        again = minimize(f.generators)
+        f = Filter(gens)
+        again = Filter(f.generators)
         assert again.generators == f.generators
         for a in f.generators:
             for b in f.generators:
@@ -60,7 +60,7 @@ def test_minimize_is_idempotent_antichain():
 
 @given(generator_sets())
 def test_minimize_preserves_membership(gens):
-    f = minimize(gens)
+    f = Filter(gens)
     for lam in all_partitions_upto(7):
         assert f.member(lam) == any(contains(g, lam) for g in gens)
 

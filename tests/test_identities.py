@@ -1,8 +1,8 @@
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filteralg.linalg import add_terms, dense_rank
 from filteralg.oracle import (
@@ -15,13 +15,16 @@ from filteralg.oracle import (
     compose,
     ee_identity_kernel_dim,
     f_I,
+    full_symmetrizer,
     is_identity_EE,
     multilinearize,
     named_poly,
     popov5a,
     popov5b,
     s3_cubed,
+    sign_symmetrizer,
     standard_poly,
+    star_group_algebra,
 )
 
 B11 = SuperBasis(1, 1)
@@ -197,6 +200,48 @@ def test_s4_has_annihilation_witness():
     assert all(
         check_annihilation(s4, tup, B11) for tup in product([(1,), (2,)], repeat=4)
     )
+
+
+_ANNIHILATION_BASES = [SuperBasis(*kl) for kl in [(1, 1), (2, 1), (0, 2), (1, 2), (3, 0)]]
+
+
+@st.composite
+def _annihilation_cases(draw):
+    """A basis, a polynomial and monomials of total degree at most 6."""
+    basis = draw(st.sampled_from(_ANNIHILATION_BASES))
+    g = draw(st.one_of(_polys(), st.sampled_from([br_cube(), popov5b()])))
+    letters = st.integers(1, basis.dim)
+    spare = 6 - g.degree
+    monomials = []
+    for _ in range(g.degree):
+        word = draw(st.lists(letters, min_size=1, max_size=1 + spare))
+        spare -= len(word) - 1
+        monomials.append(tuple(word))
+    return basis, g, monomials
+
+
+@settings(deadline=None)
+@given(_annihilation_cases())
+@example((B11, br_cube(), [(1,), (2,), (1,), (2,), (2,), (1,)]))
+@example((SuperBasis(2, 1), commutator_product(1), [(1,), (2,)]))
+@example((SuperBasis(0, 2), commutator_product(1), [(1,), (1, 2)]))
+def test_annihilation_matches_total_symmetrizers(case):
+    # The reference expands S_n: the value is starred with every
+    # permutation of the full and the signed sum.
+    basis, g, monomials = case
+    value = add_terms(
+        {},
+        (
+            (tuple(chain.from_iterable(monomials[s - 1] for s in sigma)), c)
+            for sigma, c in g.coeffs.items()
+        ),
+    )
+    n = sum(map(len, monomials))
+    expected = not any(
+        star_group_algebra(value, sym(n), basis)
+        for sym in (full_symmetrizer, sign_symmetrizer)
+    )
+    assert check_annihilation(g, monomials, basis) == expected
 
 
 def test_annihilation_input_validation():

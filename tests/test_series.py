@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import CATALOG_SPECS
 from filteralg.dims import f_lambda, w_dim
 from filteralg.filters import Filter
-from filteralg.partitions import enumerate_partitions, hook_rectangle
+from filteralg.partitions import enumerate_partitions, hook_rectangle, in_hook
 from filteralg.series import dim_quotient, series, verify_growth
 
 
@@ -60,8 +60,8 @@ def test_complementarity(catalog):
         for n in range(13):
             ideal = sum(
                 w_dim(lam, k, l)
-                for lam in enumerate_partitions(n, hook=(k, l))
-                if f.member(lam)
+                for lam in enumerate_partitions(n)
+                if in_hook(lam, k, l) and f.member(lam)
             )
             assert dim_quotient(f, n) + ideal == (k + l) ** n, (f, n)
 
@@ -132,7 +132,11 @@ def test_growth_report_json():
 
 def _complement_by_filtering(f, n):
     k, l = f.ambient
-    return [lam for lam in enumerate_partitions(n, hook=(k, l)) if not f.member(lam)]
+    return [
+        lam
+        for lam in enumerate_partitions(n)
+        if in_hook(lam, k, l) and not f.member(lam)
+    ]
 
 
 def _nilpotency_by_scan(f):
