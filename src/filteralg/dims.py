@@ -19,10 +19,23 @@ Lie superalgebras", Adv. Math. 1987).  With one alphabet empty it is an
 ordinary semistandard count (of the shape, or of its conjugate).  When
 the shape covers the ``k x l`` corner rectangle the count factors into
 an unprimed arm, a primed leg and ``2^(k*l)`` for the corner.  Otherwise
-it splits each tableau into its unprimed subshape and the primed skew
-remainder, a sum that stays small because such a shape is thin.  A
-naive full enumeration (``schur_dim_by_enumeration``) is kept as the
-independent oracle for small shapes.
+the shape is thin: each tableau splits into its unprimed subshape
+``mu`` and the primed skew remainder, whose rows hold at most ``l``
+cells, so only ``mu`` within ``l`` cells of each of the first ``k`` rows
+is summed.  A thin count with ``l > k`` is taken on the conjugate shape
+with the alphabets swapped, so the skew count runs over the shorter
+primed alphabet.
+
+The block dimension ``w_dim = f_lambda * schur_dim`` of a shape that
+covers the corner factors the same way: the hooks of arm and leg cells
+are the hooks of the arm and leg themselves, and only the ``k*l`` corner
+cells mix (see ``_w_dim``), so it is computed from two small cached
+pieces and ``k*l`` corner hooks rather than a product over every cell.
+``hs_eval`` runs its dynamic program over integers, scaling the point by
+the common denominator of its coordinates.  A naive full enumeration
+(``schur_dim_by_enumeration``) and the corner-removal recursion
+(``f_lambda_by_recursion``) are kept as independent oracles for small
+shapes.
 
 The public functions validate their arguments; the series layer calls
 the unchecked ``_w_dim`` on the shapes it generates itself.
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 from .partitions import Partition, check_alphabet, check_partition, conjugate, in_hook
@@ -95,22 +108,36 @@ def _schur_dim(lam: Partition, k: int, l: int) -> int:
         alpha = tuple(p - l for p in lam[:k] if p > l)
         beta = tuple(q - k for q in conj[:l] if q > k)
         return (_ssyt_count(alpha, k) * _ssyt_count(beta, l)) << (k * l)
+    if l > k:
+        # Conjugation swaps the alphabets: count with the shorter primed
+        # one, so the skew count below is the two-letter product formula
+        # (or the one-letter strip test) whenever min(k, l) <= 2.
+        return _schur_dim(conjugate(lam), l, k)
     conj = conjugate(lam)
     total = 0
-    for mu in _subshapes(lam[:k]):
+    for mu in _subshapes(lam[:k], l):
         total += _ssyt_count(mu, k) * _skew_conj_count(conj, conjugate(mu), l)
     return total
 
 
-def _subshapes(bounds: Partition) -> Iterator[Partition]:
-    """All partitions fitting under ``bounds`` rowwise (so at most len(bounds) rows)."""
+def _subshapes(bounds: Partition, l: int) -> Iterator[Partition]:
+    """Partitions ``mu`` with ``bounds[i] - l <= mu[i] <= bounds[i]`` in each row.
+
+    ``mu`` is the unprimed part of a tableau of a shape whose first rows
+    are ``bounds``.  A row of the primed remainder holds distinct primed
+    letters, so it has at most ``l`` cells; every other ``mu`` admits no
+    tableau.  A row with ``bounds[i] <= l`` may end ``mu``: the rows
+    below it are no longer, so they may be all primed too.
+    """
 
     def rec(i: int, prev: int) -> Iterator[Partition]:
         if i == len(bounds):
             yield ()
             return
-        yield ()
-        for first in range(1, min(prev, bounds[i]) + 1):
+        lo = bounds[i] - l
+        if lo <= 0:
+            yield ()
+        for first in range(max(lo, 1), min(prev, bounds[i]) + 1):
             for rest in rec(i + 1, first):
                 yield (first,) + rest
 
@@ -188,8 +215,42 @@ def w_dim(lam, k: int, l: int) -> int:
     return _w_dim(check_partition(lam), *check_alphabet(k, l))
 
 
+@lru_cache(maxsize=None)
 def _w_dim(lam: Partition, k: int, l: int) -> int:
-    return _f_hook(lam) * _schur_dim(lam, k, l)
+    """``f_lambda * schur_dim`` for a validated shape.
+
+    When the shape covers the ``k x l`` corner it splits into the arm
+    ``alpha`` (rows ``i < k`` less their first ``l`` cells), the leg
+    ``beta`` (the conjugate of the rows below ``k``) and the corner.
+    The hook of an arm cell stays inside the arm and that of a leg cell
+    inside the leg, so they are ``alpha``'s and ``beta``'s own hooks;
+    only the corner cell ``(i, j)`` mixes, with hook
+    ``alpha_i + beta_j + (k-i) + (l-j) - 1`` (0-indexed).  With the
+    Berele--Regev factorisation of ``schur_dim`` this gives
+
+        w = |lam|! 2^(kl) w(alpha, k, 0) w(beta, l, 0)
+            / (|alpha|! |beta|! prod(corner hooks)),
+
+    an exact division whose small factors ``w(alpha, k, 0) = f_alpha
+    s_alpha(1^k)`` and ``w(beta, l, 0)`` come from this cache.  A shape
+    outside the hook is 0 before any hook product is taken; every other
+    shape takes ``_f_hook * _schur_dim``.
+    """
+    if not in_hook(lam, k, l):
+        return 0
+    if not (k and l and len(lam) >= k and lam[k - 1] >= l):
+        return _f_hook(lam) * _schur_dim(lam, k, l)
+    alpha = tuple(p - l for p in lam[:k] if p > l)
+    beta = conjugate(lam[k:])
+    legs = beta + (0,) * (l - len(beta))
+    corner = 1
+    for i in range(k):
+        arm = lam[i] - l + k - i - 1
+        for j in range(l):
+            corner *= arm + legs[j] + l - j
+    top, n = sum(lam[:k]), sum(lam)
+    num = (factorial(n) * _w_dim(alpha, k, 0) * _w_dim(beta, l, 0)) << (k * l)
+    return num // (factorial(top - k * l) * factorial(n - top) * corner)
 
 
 @dataclass
@@ -218,29 +279,42 @@ def hs_eval(lam, xs: Sequence, ys: Sequence) -> Fraction:
     entries ``i`` and ``ys[j-1]`` over primed entries ``j'``; the sum is
     computed by a strip-chain dynamic program, one alphabet letter at a
     time.  At the all-ones point this equals :func:`schur_dim`.
+
+    The program runs over integers: with ``d`` the least common multiple
+    of the coordinates' denominators it evaluates at ``d*xs, d*ys``, and
+    since the function is homogeneous of degree ``|lam|`` the value is
+    that total over ``d**|lam|``, exactly.
     """
     lam = check_partition(lam)
-    return _hs_eval(lam, tuple(Fraction(x) for x in xs), tuple(Fraction(y) for y in ys))
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    d = lcm(*(v.denominator for v in xs + ys))
+    total = _hs_eval(
+        lam,
+        tuple(x.numerator * (d // x.denominator) for x in xs),
+        tuple(y.numerator * (d // y.denominator) for y in ys),
+    )
+    return Fraction(total, d ** sum(lam))
 
 
 @lru_cache(maxsize=None)
-def _hs_eval(lam: Partition, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> Fraction:
-    states: dict[Partition, Fraction] = {(): Fraction(1)}
+def _hs_eval(lam: Partition, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
+    states: dict[Partition, int] = {(): 1}
     for x in xs:
-        nxt: dict[Partition, Fraction] = {}
+        nxt: dict[Partition, int] = {}
         for shape, val in states.items():
+            size = sum(shape)
             for ext in _hstrip_extensions(shape, lam):
-                w = val * x ** (sum(ext) - sum(shape))
-                nxt[ext] = nxt.get(ext, Fraction(0)) + w
+                nxt[ext] = nxt.get(ext, 0) + val * x ** (sum(ext) - size)
         states = nxt
     for y in ys:
         nxt = {}
         for shape, val in states.items():
+            size = sum(shape)
             for ext in _vstrip_extensions(shape, lam):
-                w = val * y ** (sum(ext) - sum(shape))
-                nxt[ext] = nxt.get(ext, Fraction(0)) + w
+                nxt[ext] = nxt.get(ext, 0) + val * y ** (sum(ext) - size)
         states = nxt
-    return states.get(lam, Fraction(0))
+    return states.get(lam, 0)
 
 
 def _vstrip_extensions(phi: Partition, theta: Partition) -> Iterator[Partition]:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod

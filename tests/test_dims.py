@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from filteralg import dims
 from filteralg.dims import (
     dimension_record,
     f_lambda,
@@ -83,10 +84,13 @@ def test_schur_dim_against_enumeration():
 
 @pytest.mark.parametrize(
     "lam",
-    [(4, 3), (3, 3, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (5, 1, 1, 1), (8,), (1,) * 8],
+    [(4, 3), (3, 3, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (5, 1, 1, 1), (8,), (1,) * 8,
+     # thin shapes with long first rows: the bounded subshape sum, and at
+     # (2,3) its routing through the conjugate at (3,2)
+     (7, 1), (6, 1, 1, 1), (8, 1, 1)],
 )
 def test_schur_dim_against_enumeration_large(lam):
-    for k, l in [(2, 0), (3, 0), (0, 2), (1, 1), (2, 1), (2, 2)]:
+    for k, l in [(2, 0), (3, 0), (0, 2), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2)]:
         assert schur_dim(lam, k, l) == schur_dim_by_enumeration(lam, k, l)
 
 
@@ -115,6 +119,39 @@ def test_hook_character_sum():
             sum(f_lambda(lam) for lam in enumerate_partitions(n) if in_hook(lam, 1, 1))
             == 2 ** (n - 1)
         )
+
+
+def test_w_dim_against_recursion_and_enumeration():
+    # |lam| <= 9 is the first size at which every ambient up to (3,3) has
+    # shapes covering its corner, which take the arm/leg/corner kernel.
+    for lam in all_partitions_upto(9):
+        f = f_lambda_by_recursion(lam)
+        for k in range(4):
+            for l in range(4):
+                assert dims._w_dim(lam, k, l) == f * schur_dim_by_enumeration(lam, k, l), (lam, k, l)
+
+
+def test_w_dim_against_hook_product_times_schur_dim():
+    # Shapes outside the hook included; the reference is the hook-length
+    # product and the Berele-Regev count, each over the whole shape.
+    for lam in all_partitions_upto(14):
+        for k in range(4):
+            for l in range(4):
+                expected = dims._f_hook(lam) * dims._schur_dim(lam, k, l)
+                assert dims._w_dim(lam, k, l) == expected, (lam, k, l)
+
+
+def test_w_dim_outside_hook_skips_f_lambda():
+    # Row k+1 longer than l: the block is empty, and f_lambda (a product
+    # over every cell) is never evaluated for it.
+    def calls():
+        info = dims._f_hook.cache_info()
+        return info.hits + info.misses
+
+    before = calls()
+    for lam, k, l in [((40, 40, 40), 1, 2), ((9, 9, 9, 9), 2, 2), ((5, 4), 0, 3), ((3, 3), 1, 0)]:
+        assert w_dim(lam, k, l) == 0
+    assert calls() == before
 
 
 def test_w_dim_examples():
@@ -175,6 +212,18 @@ def test_hs_eval_at_ones_counts_tableaux():
                 assert hs_eval(lam, (1,) * k, (1,) * l) == schur_dim(lam, k, l)
 
 
+def _weighted_tableau_sum(lam, xs, ys):
+    k = len(xs)
+    total = Fraction(0)
+    for tab in iter_super_tableaux(lam, k, len(ys)):
+        weight = Fraction(1)
+        for row in tab:
+            for v in row:
+                weight *= xs[v - 1] if v <= k else ys[v - k - 1]
+        total += weight
+    return total
+
+
 def test_hs_eval_against_weighted_enumeration():
     rng = random.Random(11)
     points = [
@@ -184,16 +233,21 @@ def test_hs_eval_against_weighted_enumeration():
         )
         for _ in range(2)
     ]
+    # Zero, negative and plain-int coordinates, over more ambients.
+    points += [
+        ((0, Fraction(-2, 3)), (3, Fraction(1, 2))),
+        ((-1,), (0, Fraction(5, 2))),
+        ((2,), (-3, Fraction(-1, 4))),
+        ((0, -2, Fraction(3, 4)), ()),
+        ((1, Fraction(-1, 6), 5), ()),
+        ((), (Fraction(2, 5), 0, -1)),
+        ((), (4, -2, Fraction(-7, 3))),
+    ]
     for lam in all_partitions_upto(5):
         for xs, ys in points:
-            expected = Fraction(0)
-            for tab in iter_super_tableaux(lam, 2, 2):
-                weight = Fraction(1)
-                for row in tab:
-                    for v in row:
-                        weight *= xs[v - 1] if v <= 2 else ys[v - 3]
-                expected += weight
-            assert hs_eval(lam, xs, ys) == expected, (lam, xs, ys)
+            got = hs_eval(lam, xs, ys)
+            assert isinstance(got, Fraction)
+            assert got == _weighted_tableau_sum(lam, xs, ys), (lam, xs, ys)
 
 
 def test_product_identity_small():
