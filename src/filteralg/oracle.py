@@ -22,7 +22,9 @@ order above ``DEGREE_CAP! = 7!``, and :func:`check_annihilation` a
 value of total degree above ``DEGREE_CAP``.  The EE criterion
 (:func:`is_identity_EE`) is decided exhaustively up to degree
 ``EE_DEGREE_CAP = 9``, and the dimension of its identity space
-(:func:`ee_identity_kernel_dim`, a dense rank over ``d!`` columns) up
+(:func:`ee_identity_kernel_dim`, dense ranks of ``2^(d//2 + 1)``
+blocks, one per character of an abelian symmetry group of the
+``f_I``, each over one column per orbit of that group on ``S_d``) up
 to ``KERNEL_DEGREE_CAP = 6``.  Exceeding a cap raises
 :class:`CapExceeded`, never approximates.
 
@@ -51,11 +53,17 @@ from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 from operator import xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
 from .linalg import EchelonBasis, add_terms, dense_rank, intify
-from .partitions import Partition, check_alphabet, check_partition, enumerate_partitions
+from .partitions import (
+    Partition,
+    _integers,
+    check_alphabet,
+    check_partition,
+    enumerate_partitions,
+)
 
 DIM_CAP = 4096
 DEGREE_CAP = 7  # caps d! at 5040
@@ -807,27 +815,102 @@ def ee_identity_kernel_dim(d: int, cap: int = KERNEL_DEGREE_CAP) -> int:
 
     Rank-nullity of the subset-pair constraint matrix over the
     rationals, whose row for ``(I1, I2)`` is ``f_{I1} * f_{I2}`` over all
-    of ``S_d``.  The rows are bilinear in the ``f_I``, so they span the
-    same space as the products ``b * b'`` over any basis ``B`` of the
-    span of the ``f_I``.  ``B`` is chosen exactly, by keeping the sign
-    rows that enlarge an echelon basis (``2^(d-1)`` of them), and only the
-    distinct products are ranked: 497 rows at ``d = 6``, where the subset
-    pairs give 1549 distinct ones.
+    of ``S_d``.  The rows are bilinear in the ``f_I``, so they span
+    ``R = V * V`` for ``V`` the span of the ``f_I``.
+
+    ``R`` is ranked one block at a time.  The group ``G`` of
+    :func:`_ee_symmetries` (the swaps of the values ``2i-1, 2i`` and the
+    reversal of positions, ``G = (Z/2)^m``) multiplies functions on
+    ``S_d`` pointwise and sends every ``f_I`` to some ``+-f_J``: a
+    relabeling gives ``f_I(pi o sigma) = +-f_{pi^-1 I}(sigma)``, the
+    reversal ``f_I(sigma w0) = (-1)^C(|I|,2) f_I(sigma)``.  So ``V`` is
+    the direct sum of its eigenspaces ``V_chi`` over the ``2^m``
+    characters, and ``R`` the direct sum over ``theta`` of the spans
+    ``R_theta`` of the products ``V_chi * V_psi`` with ``chi psi = theta``
+    (Maschke's theorem for an abelian group).  An eigenvector is fixed
+    by its values at one word per ``G``-orbit, so each ``R_theta`` is
+    ranked on those columns only: at ``d = 6``, 16 blocks of 48 columns
+    instead of one block of 720.
+
+    Each orbit is listed in group-element order (bit ``j`` of the index
+    applies generator ``j``), so one Walsh--Hadamard transform of a
+    sign row over an orbit gives its projection onto every ``V_chi`` at
+    the orbit's first word.  An orbit with a nontrivial stabiliser
+    lists its words more than once, and the characters that are not
+    trivial on the stabiliser get 0 there, as they must.
     """
+    (d,) = _integers((d,), "d")
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
     if d > cap:
         raise CapExceeded(f"degree {d} exceeds cap {cap}")
-    perms = list(permutations(range(1, d + 1)))
-    spanned, basis = EchelonBasis(), []
-    for par in _subset_parities(perms, d).values():
-        if spanned.insert(dict(enumerate(_signs(par, len(perms))))):
-            basis.append(par)
-    products = dict.fromkeys(a ^ b for i, a in enumerate(basis) for b in basis[i:])
-    return factorial(d) - dense_rank([_signs(p, len(perms)) for p in products])
+    gens = _ee_symmetries(d)
+    size = 1 << len(gens)
+    words, seen = [], set()
+    for sigma in permutations(range(1, d + 1)):
+        if sigma not in seen:
+            orbit = [sigma]
+            for gen in gens:
+                orbit += [gen(w) for w in orbit]
+            seen.update(orbit)
+            words += orbit
+    n = len(words)
+    spaces = [EchelonBasis() for _ in range(size)]
+    for par in _subset_parities(words, d).values():
+        bits = format(par, f"0{n}b")[::-1]
+        # Row g holds the signs at the g-th word of every orbit.
+        rows = [[-1 if b == "1" else 1 for b in bits[g::size]] for g in range(size)]
+        for space, row in zip(spaces, _walsh_hadamard(rows)):
+            space.insert(dict(enumerate(row)))
+    orbits = n // size
+    bases = [
+        [[r.get(o, 0) for o in range(orbits)] for r in space.rows()] for space in spaces
+    ]
+    rank = 0
+    for theta in range(size):
+        products = []
+        for chi in range(size):
+            psi = chi ^ theta
+            if psi < chi:
+                continue
+            for i, u in enumerate(bases[chi]):
+                for v in bases[psi][i:] if psi == chi else bases[psi]:
+                    products.append([x * y for x, y in zip(u, v)])
+        rank += dense_rank(products)
+    return factorial(d) - rank
 
 
-def _signs(par: int, n: int) -> list[int]:
-    """The ``n`` signs ``(-1)^bit_t(par)``."""
-    return [-1 if ch == "1" else 1 for ch in reversed(format(par, f"0{n}b"))]
+def _walsh_hadamard(rows: list[list[int]]) -> list[list[int]]:
+    """Row ``chi`` of the result is ``sum_g (-1)^popcount(chi & g) rows[g]``.
+
+    ``len(rows)`` must be a power of two; the butterflies run in place.
+    """
+    h = 1
+    while h < len(rows):
+        for i in range(0, len(rows), 2 * h):
+            for j in range(i, i + h):
+                a, b = rows[j], rows[j + h]
+                rows[j] = [x + y for x, y in zip(a, b)]
+                rows[j + h] = [x - y for x, y in zip(a, b)]
+        h *= 2
+    return rows
+
+
+def _ee_symmetries(d: int) -> list[Callable[[Perm], Perm]]:
+    """The generators of the symmetry group of the ``f_I`` in degree ``d``.
+
+    The swaps of the values ``2i-1, 2i`` for ``i <= d // 2``, acting as
+    ``sigma -> pi o sigma``, then the reversal of positions,
+    ``sigma -> sigma w0``.  They commute and are involutions, and each
+    sends every ``f_I`` to some ``+-f_J`` (see
+    :func:`ee_identity_kernel_dim`).
+    """
+    gens: list[Callable[[Perm], Perm]] = []
+    for i in range(1, d // 2 + 1):
+        swap = {2 * i - 1: 2 * i, 2 * i: 2 * i - 1}
+        gens.append(lambda sigma, swap=swap: tuple(swap.get(v, v) for v in sigma))
+    gens.append(lambda sigma: sigma[::-1])
+    return gens
 
 
 def check_annihilation(

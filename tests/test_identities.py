@@ -4,8 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filteralg.linalg import add_terms, dense_rank
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank
 from filteralg.oracle import (
+    _ee_symmetries,
+    _subset_parities,
     CapExceeded,
     MultilinearPoly,
     SuperBasis,
@@ -107,6 +109,22 @@ def _kernel_dim_over_all_pairs(d):
     return factorial(d) - dense_rank(rows)
 
 
+def _kernel_dim_basis_products(d):
+    """Rank of the products of a basis of the sign rows over all of ``S_d``.
+
+    The basis is the sign rows that enlarge an echelon basis; only the
+    distinct products are ranked, in one block of ``d!`` columns.
+    """
+    perms = list(permutations(range(1, d + 1)))
+    signs = lambda par: [-1 if par >> t & 1 else 1 for t in range(len(perms))]
+    spanned, basis = EchelonBasis(), []
+    for par in _subset_parities(perms, d).values():
+        if spanned.insert(dict(enumerate(signs(par)))):
+            basis.append(par)
+    products = dict.fromkeys(a ^ b for i, a in enumerate(basis) for b in basis[i:])
+    return factorial(d) - dense_rank([signs(p) for p in products])
+
+
 _coefficients = st.one_of(
     st.integers(-5, 5).filter(bool),
     st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
@@ -156,6 +174,47 @@ def test_kernel_dims():
 @pytest.mark.parametrize("d", range(1, 6))
 def test_kernel_basis_products_match_all_subset_pairs(d):
     assert ee_identity_kernel_dim(d) == _kernel_dim_over_all_pairs(d)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_kernel_blocks_match_basis_products(d):
+    assert ee_identity_kernel_dim(d) == _kernel_dim_basis_products(d)
+
+
+def test_kernel_degree_7_under_raised_cap():
+    assert ee_identity_kernel_dim(7, cap=7) == 3444
+
+
+@pytest.mark.parametrize("d", [-1, True, False, "3", 2.0])
+def test_kernel_refuses_bad_degree(d):
+    with pytest.raises(ValueError, match="^d must"):
+        ee_identity_kernel_dim(d)
+
+
+def _maps_each_f_I_to_a_signed_f_J(gen, d):
+    """True iff ``f_I(gen(sigma)) = +-f_J(sigma)`` over ``S_d`` for every
+    ``I``, with ``J`` and the sign depending on ``I`` only."""
+    perms = list(permutations(range(1, d + 1)))
+    rows = {tuple(f_I(sigma, sub) for sigma in perms) for sub in _subsets(d)}
+    return all(
+        row in rows or tuple(-x for x in row) in rows
+        for row in (tuple(f_I(gen(sigma), sub) for sigma in perms) for sub in _subsets(d))
+    )
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_kernel_symmetries_permute_the_sign_rows(d):
+    gens = _ee_symmetries(d)
+    assert len(gens) == d // 2 + 1
+    perms = list(permutations(range(1, d + 1)))
+    for g, h in product(gens, repeat=2):
+        assert all(g(h(sigma)) == h(g(sigma)) for sigma in perms)
+        assert all(g(g(sigma)) == sigma for sigma in perms)
+    for gen in gens:
+        assert _maps_each_f_I_to_a_signed_f_J(gen, d)
+    # A position swap is no such symmetry, so the check can tell.
+    swap = lambda sigma: sigma[1::-1] + sigma[2:]
+    assert _maps_each_f_I_to_a_signed_f_J(swap, d) == (d < 3)
 
 
 def test_kernel_d2_constraints_by_hand():
