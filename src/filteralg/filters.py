@@ -17,6 +17,7 @@ from .partitions import (
     Partition,
     check_alphabet,
     check_partition,
+    check_size,
     contains,
     enumerate_avoiding,
     hook_rectangle,
@@ -49,7 +50,13 @@ class Filter:
     ):
         gens = [check_partition(g) for g in generators]
         if ambient is not None:
-            k, l = check_alphabet(ambient[0], ambient[1])
+            try:
+                k, l = ambient
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"ambient must be a pair (k, l), got {ambient!r}"
+                ) from None
+            k, l = check_alphabet(k, l)
             ambient = (k, l)
             gens.append(((l + 1),) * (k + 1))
         object.__setattr__(self, "generators", _minimal_antichain(gens))
@@ -102,6 +109,7 @@ class Filter:
         membership-tested.
         """
         self._require_ambient()
+        n = check_size(n, "n")
         return [lam for lam in enumerate_avoiding(self.generators, n) if sum(lam) == n]
 
     # -- growth invariants ---------------------------------------------------

@@ -45,6 +45,18 @@ def check_alphabet(k, l) -> tuple[int, int]:
     return k, l
 
 
+def check_size(n, name: str) -> int:
+    """Validate a size bound ``name``: a nonnegative integer, not a ``bool``.
+
+    The rule is that of :func:`check_alphabet`; anything else raises a
+    ``ValueError`` that names the argument.
+    """
+    (n,) = _integers((n,), name)
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
 def _integers(values: tuple, what: str) -> tuple[int, ...]:
     if bool in map(type, values):
         raise ValueError(f"{what} must be integers, got {values}")
@@ -157,12 +169,13 @@ def enumerate_avoiding(
     generator ``g`` with exactly ``r+1`` rows whose first ``r`` rows
     already fit under the prefix, so no visited prefix contains a
     generator and nothing is enumerated only to be thrown away.
+    ``n_max`` is checked when the walk is made, not when it first runs.
     """
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
+    n_max = check_size(n_max, "n_max")
     gens = [tuple(g) for g in generators]
-    if () not in gens:
-        yield from _avoid((), n_max, n_max, gens)
+    if () in gens:
+        return iter(())
+    return _avoid((), n_max, n_max, gens)
 
 
 def _avoid(

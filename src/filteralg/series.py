@@ -2,21 +2,35 @@
 
 ``d_n`` is the dimension of the degree-``n`` slice of the quotient:
 the sum of ``w_dim`` over the non-member shapes of size ``n`` inside
-the ambient hook.  :func:`series` takes them all from one walk over the
-shapes that avoid the filter's generators (the ambient rectangle is one
-of them), so it never enumerates a member and never re-validates a
-shape it generated.  Everything is exact integers; floats appear only
-in the final slope statistic of a growth report.
+the ambient hook.  :func:`series` never enumerates a member.  It takes
+the thin non-members, those that do not cover the ``k x l`` corner,
+from one walk over the shapes that avoid the generators and the corner
+rectangle (the ambient rectangle is a generator, so the walk stays in
+the hook), and prices each with ``w_dim``.  The others it takes as
+pairs of an arm and a leg, the two short partitions left when the
+corner is removed, from walks over arms and legs; each pair adds the
+corner formula of :func:`filteralg.dims._corner_w`, ``k*l`` small
+factors, without building the shape.  :func:`dim_quotient` prices the
+non-members of one size one by one and is the reference for it.
+Everything is exact integers; floats appear only in the final slope
+statistic of a growth report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .dims import _w_dim
+from .dims import CornerSide, _arm, _corner_side, _corner_w, _w_dim
 from .filters import Filter
-from .partitions import enumerate_avoiding
+from .partitions import (
+    Partition,
+    check_size,
+    conjugate,
+    contains,
+    enumerate_avoiding,
+)
 
 
 def dim_quotient(omega: Filter, n: int) -> int:
@@ -36,16 +50,51 @@ class DimensionSeries:
 
 
 def series(omega: Filter, n_max: int) -> DimensionSeries:
-    """The sequence ``d_0 .. d_{n_max}``, from one walk over the non-members."""
+    """The sequence ``d_0 .. d_{n_max}``: thin shapes, then arm/leg pairs."""
     if omega.ambient is None:
         raise ValueError("series requires an ambient (k, l)")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = check_size(n_max, "n_max")
     k, l = omega.ambient
     values = [0] * (n_max + 1)
-    for lam in enumerate_avoiding(omega.generators, n_max):
+    corner = (l,) * k if l else ()
+    for lam in enumerate_avoiding(omega.generators + (corner,), n_max):
         values[sum(lam)] += _w_dim(lam, k, l)
+    if n_max >= k * l:
+        _add_corner_shapes(values, omega.generators, k, l)
     return DimensionSeries(filter=omega, k=k, l=l, values=tuple(values))
+
+
+def _add_corner_shapes(
+    values: list[int], gens: tuple[Partition, ...], k: int, l: int
+) -> None:
+    """Add the non-members that cover the ``k x l`` corner to ``values``.
+
+    Such a shape is the pair of its arm ``alpha`` (at most ``k`` parts)
+    and its leg ``beta`` (at most ``l`` parts), and it contains ``g``
+    exactly when ``alpha`` contains ``g``'s arm and, if ``g`` has more
+    than ``k`` rows, ``beta`` contains ``conjugate(g[k:])``.  So the
+    arms are one walk, and for each arm the legs are a walk that avoids
+    the legs of the long generators whose arms it contains; that leg
+    list, sorted by size, is made once per set of such generators.
+    """
+    budget = len(values) - 1 - k * l
+    arm_gens = [_arm(g, k, l) for g in gens if len(g) <= k] + [(1,) * (k + 1)]
+    long_gens = [(_arm(g, k, l), conjugate(g[k:])) for g in gens if len(g) > k]
+    leg_lists: dict[tuple[Partition, ...], list[CornerSide]] = {}
+    for alpha in enumerate_avoiding(arm_gens, budget):
+        alive = tuple(leg for arm, leg in long_gens if contains(arm, alpha))
+        legs = leg_lists.get(alive)
+        if legs is None:
+            walk = enumerate_avoiding(alive + ((1,) * (l + 1),), budget)
+            legs = leg_lists[alive] = sorted(
+                (_corner_side(beta, l) for beta in walk), key=itemgetter(0)
+            )
+        arm = _corner_side(alpha, k)
+        for leg in legs:
+            size = arm[0] + leg[0]
+            if size > budget:
+                break
+            values[size + k * l] += _corner_w(arm, leg)
 
 
 @dataclass

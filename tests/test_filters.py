@@ -73,6 +73,17 @@ def test_ambient_rectangle_is_adjoined():
     assert Filter([], (2, 0)).generators == ((1, 1, 1),)
 
 
+@pytest.mark.parametrize("ambient", [(1, 1, 5), (1,), (), 3, "kl"])
+def test_ambient_must_be_a_pair(ambient):
+    # A longer tuple is not cut to its first two entries.
+    with pytest.raises(ValueError):
+        Filter([(2,)], ambient)
+
+
+def test_ambient_pair_may_be_any_sequence():
+    assert Filter([(2,)], [1, 1]) == Filter([(2,)], (1, 1))
+
+
 def test_union():
     assert Filter([(3,)]).union(Filter([(2,)])).generators == ((2,),)
     f = Filter([(2,)], (2, 0))

@@ -1,12 +1,17 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CATALOG_SPECS
 from filteralg.dims import f_lambda, w_dim
 from filteralg.filters import Filter
-from filteralg.partitions import enumerate_partitions, hook_rectangle, in_hook
+from filteralg.partitions import (
+    enumerate_avoiding,
+    enumerate_partitions,
+    hook_rectangle,
+    in_hook,
+)
 from filteralg.series import dim_quotient, series, verify_growth
 
 
@@ -198,3 +203,62 @@ def test_negative_size_is_rejected():
         f.complement_at(-1)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         dim_quotient(f, -1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "3", None])
+def test_size_arguments_must_be_integers(bad):
+    # A bool or a float is not a size, even one that int() would accept.
+    f = Filter([(2,)], (1, 1))
+    calls = [
+        (lambda: series(f, bad), "n_max"),
+        (lambda: verify_growth(f, bad), "n_max"),
+        (lambda: dim_quotient(f, bad), "n"),
+        (lambda: f.complement_at(bad), "n"),
+        (lambda: enumerate_avoiding(f.generators, bad), "n_max"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be integers"):
+            call()
+
+
+# Generators that reach below row k, so the leg walk has work to do; the
+# per-shape dim_quotient (complement_at and _w_dim) is the reference.
+# In the first two, (3,2,1)'s leg and the short (2,2) decide every corner
+# shape; (4,3,2,1,1)'s leg (3,1) is not its rows below k, (2,1,1).
+@pytest.mark.parametrize(
+    "gens, ambient, n_max",
+    [
+        ([(3, 2, 1), (5, 1, 1, 1)], (2, 2), 30),
+        ([(2, 2), (3, 1, 1)], (2, 2), 30),
+        ([(4, 3, 2, 1, 1)], (2, 2), 30),
+        ([(3, 3, 3), (4, 4)], (2, 3), 20),
+        ([(4, 2, 2, 1)], (3, 2), 16),
+    ],
+)
+def test_arm_leg_sum_matches_per_shape_reference(gens, ambient, n_max):
+    f = Filter(gens, ambient)
+    reference = tuple(dim_quotient(f, n) for n in range(n_max + 1))
+    for n in range(n_max + 1):
+        assert series(f, n).values == reference[: n + 1], (f, n)
+
+
+medium_partitions = st.lists(st.integers(1, 5), max_size=5).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@settings(deadline=None, max_examples=300)
+@example(gens=[(3, 2, 1), (5, 1, 1, 1)], k=2, l=2, n_max=16)
+@example(gens=[(5, 5, 3, 3, 1)], k=3, l=3, n_max=16)
+@example(gens=[(2, 2, 2, 2, 2), (4, 3)], k=0, l=3, n_max=16)
+@example(gens=[(5, 4, 4, 2, 1)], k=3, l=0, n_max=16)
+@given(
+    gens=st.lists(medium_partitions, max_size=4),
+    k=st.integers(0, 3),
+    l=st.integers(0, 3),
+    n_max=st.integers(0, 16),
+)
+def test_arm_leg_sum_matches_per_shape_reference_random(gens, k, l, n_max):
+    f = Filter(gens, (k, l))
+    values = series(f, n_max).values
+    assert values == tuple(dim_quotient(f, n) for n in range(n_max + 1)), f
