@@ -2,7 +2,6 @@
 
 from .partitions import (
     Partition,
-    c_stat,
     check_partition,
     conjugate,
     contains,
@@ -13,18 +12,8 @@ from .partitions import (
     in_hook,
     parse_partition,
 )
-from .lr import LRExpansion, count_lr_tableaux, lr_coefficient, outer_product
-from .dims import (
-    DimensionRecord,
-    dimension_record,
-    f_lambda,
-    f_lambda_by_recursion,
-    hs_eval,
-    iter_super_tableaux,
-    schur_dim,
-    schur_dim_by_enumeration,
-    w_dim,
-)
+from .lr import LRExpansion, lr_coefficient, outer_product
+from .dims import f_lambda, hs_eval, schur_dim, w_dim
 from .filters import Filter, classical_identity_degree
 from .series import (
     DimensionSeries,
@@ -44,7 +33,6 @@ from .oracle import (
     ee_identity_kernel_dim,
     evaluate_identity,
     f_I,
-    full_symmetrizer,
     generated_ideal,
     ideal_subspace,
     is_identity_EE,
@@ -55,11 +43,9 @@ from .oracle import (
     popov5a,
     popov5b,
     s3_cubed,
-    sign_symmetrizer,
     standard_poly,
     standard_tableau,
     star_action,
-    tableau_symmetrizer,
 )
 
 __version__ = "0.1.0"

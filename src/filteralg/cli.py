@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .dims import dimension_record
+from .dims import f_lambda, schur_dim, w_dim
 from .filters import Filter
 from .lr import lr_coefficient, outer_product
 from .oracle import (
@@ -36,7 +36,6 @@ from .partitions import (
     parse_partition,
 )
 from .series import series, verify_growth
-from .dims import w_dim
 
 # What every ``_cmd_*`` returns: exit code, JSON payload, text lines.
 Result = tuple[int, dict, list[str]]
@@ -82,16 +81,17 @@ def _cmd_lr(args) -> Result:
 
 
 def _cmd_dims(args) -> Result:
-    rec = dimension_record(parse_partition(args.lam), args.k, args.l)
+    lam = parse_partition(args.lam)
+    f, schur = f_lambda(lam), schur_dim(lam, args.k, args.l)
     payload = {
-        "lambda": list(rec.lam),
+        "lambda": list(lam),
         "k": args.k,
         "l": args.l,
-        "f": rec.f,
-        "schur": rec.schur,
-        "w": rec.w,
+        "f": f,
+        "schur": schur,
+        "w": f * schur,
     }
-    return 0, payload, [f"f={rec.f} schur={rec.schur} w={rec.w}"]
+    return 0, payload, [f"f={f} schur={schur} w={f * schur}"]
 
 
 def _cmd_filter_minimize(args) -> Result:

@@ -6,8 +6,7 @@ rows and strictly down columns, primed entries strictly along rows and
 weakly down columns.  Three quantities are computed exactly here:
 
 * ``f_lambda`` -- standard Young tableaux of a shape (hook-length
-  product), with an independent corner-removal recursion retained as a
-  cross-check oracle;
+  product);
 * ``schur_dim`` -- the number of ``(k,l)``-semistandard tableaux, i.e.
   the dimension of the corresponding irreducible graded module;
 * ``hs_eval`` -- the same tableau generating function with cell weights,
@@ -36,10 +35,10 @@ than a product over every cell.  ``_w_dim`` calls it for one shape; the
 series layer calls it for each (arm, leg) pair it walks, and never
 builds the shape.
 ``hs_eval`` runs its dynamic program over integers, scaling the point by
-the common denominator of its coordinates.  A naive full enumeration
-(``schur_dim_by_enumeration``) and the corner-removal recursion
-(``f_lambda_by_recursion``) are kept as independent oracles for small
-shapes.
+the common denominator of its coordinates.  The tests check these
+formulas against independent references in ``tests/reference.py``: a
+corner-removal recursion for ``f_lambda`` and a literal enumeration of
+the tableaux for ``schur_dim``.
 
 The public functions validate their arguments; the series layer calls
 the unchecked ``_w_dim`` and ``_corner_w`` on the shapes it generates
@@ -48,7 +47,6 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -71,26 +69,6 @@ def _f_hook(lam: Partition) -> int:
         for j in range(row):
             denom *= row - j + conj[j] - i - 1
     return factorial(sum(lam)) // denom
-
-
-def f_lambda_by_recursion(lam) -> int:
-    """Independent oracle for :func:`f_lambda`: sum over corner removals."""
-    return _f_rec(check_partition(lam))
-
-
-@lru_cache(maxsize=None)
-def _f_rec(lam: Partition) -> int:
-    if not lam:
-        return 1
-    total = 0
-    for i in range(len(lam)):
-        if i == len(lam) - 1 or lam[i] > lam[i + 1]:
-            if lam[i] == 1:
-                smaller = lam[:i]
-            else:
-                smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
-            total += _f_rec(smaller)
-    return total
 
 
 def schur_dim(lam, k: int, l: int) -> int:
@@ -284,23 +262,8 @@ def _corner_w(arm: CornerSide, leg: CornerSide) -> int:
     return num // (factorial(a_size) * factorial(b_size) * corner)
 
 
-@dataclass
-class DimensionRecord:
-    lam: Partition
-    f: int
-    schur: int
-    w: int
-
-
-def dimension_record(lam, k: int, l: int) -> DimensionRecord:
-    lam = check_partition(lam)
-    f = f_lambda(lam)
-    s = schur_dim(lam, k, l)
-    return DimensionRecord(lam=lam, f=f, schur=s, w=f * s)
-
-
 # ---------------------------------------------------------------------------
-# Weighted evaluation and the naive enumeration oracle.
+# Weighted evaluation.
 
 
 def hs_eval(lam, xs: Sequence, ys: Sequence) -> Fraction:
@@ -370,45 +333,3 @@ def _vstrip_extensions(phi: Partition, theta: Partition) -> Iterator[Partition]:
 
     for choice in rec(0, sum(theta) + 1):
         yield choice
-
-
-def iter_super_tableaux(lam, k: int, l: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every ``(k,l)``-semistandard filling of ``lam``.
-
-    Entries are encoded as integers: ``1..k`` unprimed, ``k+1..k+l``
-    primed.  Intended for small shapes; this is the brute-force oracle
-    behind the fast counting path.
-    """
-    lam = check_partition(lam)
-    rows = len(lam)
-    grid = [[0] * r for r in lam]
-    cells = [(r, c) for r in range(rows) for c in range(lam[r])]
-
-    def ok(r: int, c: int, v: int) -> bool:
-        if c > 0:
-            left = grid[r][c - 1]
-            if v < left or (v == left and v > k):
-                return False
-        if r > 0 and c < lam[r - 1]:
-            above = grid[r - 1][c]
-            if v < above or (v == above and v <= k):
-                return False
-        return True
-
-    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in grid)
-            return
-        r, c = cells[idx]
-        for v in range(1, k + l + 1):
-            if ok(r, c, v):
-                grid[r][c] = v
-                yield from fill(idx + 1)
-        grid[r][c] = 0
-
-    yield from fill(0)
-
-
-def schur_dim_by_enumeration(lam, k: int, l: int) -> int:
-    """Independent oracle for :func:`schur_dim`: literally count the tableaux."""
-    return sum(1 for _ in iter_super_tableaux(lam, k, l))

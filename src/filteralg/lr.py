@@ -17,10 +17,12 @@ rows is the content, since the coefficient is symmetric in
 ``(mu, lam)``.
 
 :func:`lr_coefficient` answers a single ``nu`` with the per-shape
-enumerator :func:`count_lr_tableaux`, which fills the cells of
-``nu/mu`` in reading order and checks the row, column, content and
-lattice-prefix constraints the moment a value is placed; the tests use
-it as the reference for the generation.
+enumerator ``_count_fillings``, which fills the cells of ``nu/mu`` in
+reading order and checks the row, column, content and lattice-prefix
+constraints the moment a value is placed.  The tests call it uncached
+as the reference for the generation, and check both against a monomial
+expansion of Schur polynomials built on the tableau enumeration in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -39,20 +41,11 @@ class LRExpansion:
     degree: int = 0
 
 
-def count_lr_tableaux(mu: Partition, lam: Partition, nu: Partition) -> int:
+def _count_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:
     """Count lattice fillings of ``nu/mu`` with content ``lam`` (uncached).
 
-    This is the raw enumerator behind :func:`lr_coefficient`; property
-    tests call it directly so the symmetry of the coefficients is
-    exercised rather than baked in by cache-key normalization.
+    The arguments must be valid partitions.
     """
-    return _count_fillings(
-        check_partition(mu), check_partition(lam), check_partition(nu)
-    )
-
-
-def _count_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:
-    # The arguments are valid partitions.
     if sum(mu) + sum(lam) != sum(nu):
         return 0
     if not contains(mu, nu) or not contains(lam, nu):

@@ -16,17 +16,19 @@ Conventions, fixed once and pinned by the associativity and sign tests:
 Everything downstream is spans of such vectors inside the full
 ``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
 bases so that subspace equality is literal comparison.  Hard caps keep
-the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096``; the public
-symmetrizers refuse to list a group (``|R| * |C|`` for a tableau) of
-order above ``DEGREE_CAP! = 7!``, and :func:`check_annihilation` a
-value of total degree above ``DEGREE_CAP``.  The EE criterion
-(:func:`is_identity_EE`) is decided exhaustively up to degree
-``EE_DEGREE_CAP = 9``, and the dimension of its identity space
-(:func:`ee_identity_kernel_dim`, dense ranks of ``2^(d//2 + 1)``
-blocks, one per character of an abelian symmetry group of the
-``f_I``, each over one column per orbit of that group on ``S_d``) up
-to ``KERNEL_DEGREE_CAP = 6``.  Exceeding a cap raises
-:class:`CapExceeded`, never approximates.
+the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (the functions
+that build blocks take it as ``cap``, so the command line can override
+it), and :func:`check_annihilation` refuses a value of total degree
+above ``DEGREE_CAP = 7``.  The EE criterion (:func:`is_identity_EE`) is
+decided exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
+dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
+ranks of ``2^(d//2 + 1)`` blocks, one per character of an abelian
+symmetry group of the ``f_I``, each over one column per orbit of that
+group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 6``.  Each function reads
+its cap from the module when it is called.  Exceeding a cap raises
+:class:`CapExceeded`, never approximates.  The fully listed Young
+symmetrizers that the tests check :func:`module_W` against live in
+``tests/reference.py``.
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
 blocks of positions) is taken one orbit of ``G`` on words at a time
@@ -59,14 +61,14 @@ from .filters import Filter
 from .linalg import EchelonBasis, add_terms, dense_rank, intify
 from .partitions import (
     Partition,
-    _integers,
     check_alphabet,
     check_partition,
+    check_size,
     enumerate_partitions,
 )
 
 DIM_CAP = 4096
-DEGREE_CAP = 7  # caps d! at 5040
+DEGREE_CAP = 7
 EE_DEGREE_CAP = 9
 KERNEL_DEGREE_CAP = 6
 
@@ -117,11 +119,6 @@ def _check_cap(basis: SuperBasis, n: int, cap: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Permutations and the sign functions.
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p * q)(i) = p(q(i))."""
-    return tuple(p[qi - 1] for qi in q)
 
 
 def perm_sign(p: Perm) -> int:
@@ -177,30 +174,15 @@ def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Symmetrizers in the group algebra.
-
-
-def full_symmetrizer(n: int) -> dict:
-    """Sum of all permutations of ``1..n``."""
-    _check_group_cap([range(1, n + 1)])
-    return _group_sum([range(1, n + 1)], n, signed=False)
-
-
-def sign_symmetrizer(n: int) -> dict:
-    """Signed sum of all permutations of ``1..n``."""
-    _check_group_cap([range(1, n + 1)])
-    return _group_sum([range(1, n + 1)], n, signed=True)
+# Young subgroups of a tableau.
 
 
 def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
-    """Row blocks and column blocks of a bijective tableau filling.
+    """Row blocks and column blocks of a tableau filling.
 
     The row group ``R`` and the column group ``C`` are the permutations
     preserving each row block, respectively each column block, setwise.
     """
-    entries = [e for row in rows for e in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        raise ValueError("tableau must be a bijective filling with 1..n")
     ncols = max((len(r) for r in rows), default=0)
     cols = [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
     return rows, cols
@@ -218,29 +200,6 @@ def _group_sum(blocks: Sequence[Sequence[int]], n: int, signed: bool) -> dict:
         p = tuple(img[1:])
         out[p] = perm_sign(p) if signed else 1
     return out
-
-
-def _check_group_cap(*block_lists: Sequence[Sequence[int]]) -> None:
-    """Refuse to list more than ``DEGREE_CAP!`` permutations: the product
-    of the orders of the block groups is checked before any is built."""
-    order = prod(_group_order(blocks) for blocks in block_lists)
-    if order > factorial(DEGREE_CAP):
-        raise CapExceeded(f"group order {order} exceeds cap {DEGREE_CAP}!")
-
-
-def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
-    """Row sum times signed column sum for a bijective tableau filling.
-
-    Raises :class:`CapExceeded` before enumerating when ``|R| * |C|``,
-    the number of products formed, is above ``DEGREE_CAP!``.
-    """
-    rows, cols = _tableau_blocks(rows)
-    n = sum(len(r) for r in rows)
-    _check_group_cap(rows, cols)
-    rplus = _group_sum(rows, n, signed=False)
-    cminus = _group_sum(cols, n, signed=True)
-    pairs = product(rplus.items(), cminus.items())
-    return add_terms({}, ((compose(p, q), cp * cq) for (p, cp), (q, cq) in pairs))
 
 
 def standard_tableau(lam: Partition) -> list[list[int]]:
@@ -444,8 +403,7 @@ def check_ideal(
     generator ``z``.  The input need not be upward closed; that is the
     point of the check.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max, cap)
     members = {check_partition(m) for m in omega_set}
     slices = {
@@ -464,10 +422,10 @@ def check_ideal(
 
 
 def generated_ideal(
-    relations: Iterable[dict], basis: SuperBasis, n: int, cap: int = DIM_CAP
+    relations: Iterable[dict], basis: SuperBasis, n: int
 ) -> EchelonBasis:
     """Degree-``n`` slice of the two-sided ideal spanned by degree-2 relations."""
-    _check_cap(basis, n, cap)
+    _check_cap(basis, n, DIM_CAP)
     rels = []
     for rel in relations:
         rel = intify(rel)
@@ -677,10 +635,6 @@ def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
         if n == 0:
             yield ()
         return
-    if d == 1:
-        if n >= 1:
-            yield (n,)
-        return
     for first in range(1, n - d + 2):
         for rest in _compositions(n - first, d - 1):
             yield (first,) + rest
@@ -719,7 +673,7 @@ def evaluate_identity(
     return True
 
 
-def is_identity_EE(g: MultilinearPoly, cap: int = EE_DEGREE_CAP) -> bool:
+def is_identity_EE(g: MultilinearPoly) -> bool:
     """Decide whether ``g`` is an identity of the square of the Grassmann algebra.
 
     The criterion is the vanishing of
@@ -736,8 +690,8 @@ def is_identity_EE(g: MultilinearPoly, cap: int = EE_DEGREE_CAP) -> bool:
     one ``bit_count`` each.  Each distinct pair set is tested once.
     """
     d = g.degree
-    if d > cap:
-        raise CapExceeded(f"degree {d} exceeds cap {cap}")
+    if d > EE_DEGREE_CAP:
+        raise CapExceeded(f"degree {d} exceeds cap {EE_DEGREE_CAP}")
     items = g.int_coeffs()
     if not items:
         return True
@@ -810,7 +764,7 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[int, int]:
     return out
 
 
-def ee_identity_kernel_dim(d: int, cap: int = KERNEL_DEGREE_CAP) -> int:
+def ee_identity_kernel_dim(d: int) -> int:
     """Dimension of the space of degree-``d`` multilinear identities.
 
     Rank-nullity of the subset-pair constraint matrix over the
@@ -839,11 +793,9 @@ def ee_identity_kernel_dim(d: int, cap: int = KERNEL_DEGREE_CAP) -> int:
     lists its words more than once, and the characters that are not
     trivial on the stabiliser get 0 there, as they must.
     """
-    (d,) = _integers((d,), "d")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    if d > cap:
-        raise CapExceeded(f"degree {d} exceeds cap {cap}")
+    d = check_size(d, "d")
+    if d > KERNEL_DEGREE_CAP:
+        raise CapExceeded(f"degree {d} exceeds cap {KERNEL_DEGREE_CAP}")
     gens = _ee_symmetries(d)
     size = 1 << len(gens)
     words, seen = [], set()
@@ -914,10 +866,7 @@ def _ee_symmetries(d: int) -> list[Callable[[Perm], Perm]]:
 
 
 def check_annihilation(
-    g: MultilinearPoly,
-    monomials: Sequence[Word],
-    basis: SuperBasis,
-    cap: int = DEGREE_CAP,
+    g: MultilinearPoly, monomials: Sequence[Word], basis: SuperBasis
 ) -> bool:
     """True iff ``g(monomials)`` is killed by both total symmetrizers.
 
@@ -937,8 +886,8 @@ def check_annihilation(
         for z in w:
             basis.parity(z)
     n = sum(len(w) for w in words)
-    if n > cap:
-        raise CapExceeded(f"total degree {n} exceeds cap {cap}")
+    if n > DEGREE_CAP:
+        raise CapExceeded(f"total degree {n} exceeds cap {DEGREE_CAP}")
     value = _substitute(g.int_coeffs(), words)
     for signed in (False, True):
         for seed, element in _orbit_sums(value, [range(1, n + 1)], basis, signed):

@@ -135,16 +135,14 @@ def hook_rectangle(a1: int, a2: int, b: int) -> Partition:
     return (b,) * a1 + ((a2,) * (b - a1) if a2 else ())
 
 
-def c_stat(lam: Partition) -> int:
-    """Number of cells below the first row: ``|lam| - lam_1``."""
-    return sum(lam) - (lam[0] if lam else 0)
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``n`` in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    yield from _descend(n, n)
+    """All partitions of ``n`` in reverse-lexicographic order.
+
+    ``n`` is checked by :func:`check_size` when the call is made, not
+    when the iteration first runs.
+    """
+    n = check_size(n, "n")
+    return _descend(n, n)
 
 
 def _descend(n: int, max_part: int) -> Iterator[Partition]:

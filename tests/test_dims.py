@@ -4,20 +4,12 @@ from fractions import Fraction
 import pytest
 
 from filteralg import dims
-from filteralg.dims import (
-    dimension_record,
-    f_lambda,
-    f_lambda_by_recursion,
-    hs_eval,
-    iter_super_tableaux,
-    schur_dim,
-    schur_dim_by_enumeration,
-    w_dim,
-)
+from filteralg.dims import f_lambda, hs_eval, schur_dim, w_dim
 from filteralg.filters import Filter
 from filteralg.lr import lr_coefficient, outer_product
 from filteralg.oracle import SuperBasis
 from filteralg.partitions import check_alphabet, conjugate, enumerate_partitions, in_hook
+from reference import f_lambda_by_recursion, iter_super_tableaux, schur_dim_by_enumeration
 
 
 def all_partitions_upto(n_max):
@@ -158,13 +150,13 @@ def test_w_dim_examples():
     assert w_dim((2,), 2, 0) == 3
     assert w_dim((1, 1), 2, 0) == 1
     assert w_dim((2, 1), 1, 1) == 4
-    rec = dimension_record((7, 7, 7, 2, 2, 2, 2), 2, 1)
-    assert rec.w == rec.f * rec.schur
+    lam = (7, 7, 7, 2, 2, 2, 2)
+    assert w_dim(lam, 2, 1) == f_lambda(lam) * schur_dim(lam, 2, 1)
 
 
 @pytest.mark.parametrize("k, l", [(-2, 1), (-1, 0), (0, -1), (2, -3)])
 def test_negative_alphabet_sizes_rejected(k, l):
-    for fn in (schur_dim, w_dim, dimension_record):
+    for fn in (schur_dim, w_dim):
         with pytest.raises(ValueError):
             fn((3,), k, l)
     with pytest.raises(ValueError):
@@ -179,7 +171,7 @@ def test_non_integer_alphabet_sizes_rejected(k, l):
     # True, and turn the ambient (2.5, 0) into (2, 0).
     with pytest.raises(ValueError):
         check_alphabet(k, l)
-    for fn in (schur_dim, w_dim, dimension_record):
+    for fn in (schur_dim, w_dim):
         with pytest.raises(ValueError):
             fn((2, 1), k, l)
     with pytest.raises(ValueError):

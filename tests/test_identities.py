@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from filteralg import oracle
 from filteralg.linalg import EchelonBasis, add_terms, dense_rank
 from filteralg.oracle import (
     _ee_symmetries,
@@ -14,20 +15,18 @@ from filteralg.oracle import (
     br_cube,
     check_annihilation,
     commutator_product,
-    compose,
     ee_identity_kernel_dim,
     f_I,
-    full_symmetrizer,
     is_identity_EE,
     multilinearize,
     named_poly,
     popov5a,
     popov5b,
     s3_cubed,
-    sign_symmetrizer,
     standard_poly,
     star_group_algebra,
 )
+from reference import compose, full_symmetrizer, sign_symmetrizer
 
 B11 = SuperBasis(1, 1)
 
@@ -181,8 +180,9 @@ def test_kernel_blocks_match_basis_products(d):
     assert ee_identity_kernel_dim(d) == _kernel_dim_basis_products(d)
 
 
-def test_kernel_degree_7_under_raised_cap():
-    assert ee_identity_kernel_dim(7, cap=7) == 3444
+def test_kernel_degree_7_under_raised_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "KERNEL_DEGREE_CAP", 7)
+    assert ee_identity_kernel_dim(7) == 3444
 
 
 @pytest.mark.parametrize("d", [-1, True, False, "3", 2.0])
@@ -311,11 +311,12 @@ def test_annihilation_input_validation():
         check_annihilation(g, [(1, 1), (1, 1), (1, 1), (1, 1)], B11)
 
 
-def test_annihilation_uses_its_own_degree_cap():
-    # full_symmetrizer(8) is refused, but check_annihilation honours the
-    # cap it is given: a repeated odd letter kills the full sum and a
-    # repeated even letter the signed one.
+def test_annihilation_uses_its_own_degree_cap(monkeypatch):
+    # Total degree 8 is refused at the default cap, but check_annihilation
+    # reads the cap when it is called and never lists S_8: a repeated odd
+    # letter kills the full sum and a repeated even letter the signed one.
     word = (1, 2, 1, 2, 1, 2, 1, 2)
-    assert check_annihilation(standard_poly(1), [word], B11, cap=8)
     with pytest.raises(CapExceeded):
         check_annihilation(standard_poly(1), [word], B11)
+    monkeypatch.setattr(oracle, "DEGREE_CAP", 8)
+    assert check_annihilation(standard_poly(1), [word], B11)

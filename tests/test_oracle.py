@@ -18,24 +18,27 @@ from filteralg.oracle import (
     _standard_tableaux,
     check_ideal,
     commutator_product,
-    compose,
     evaluate_identity,
     f_I,
     free_commutator,
     free_var,
-    full_symmetrizer,
     generated_ideal,
     ideal_subspace,
     module_W,
     multilinear_from_free,
-    sign_symmetrizer,
     standard_tableau,
     star_action,
     star_group_algebra,
     star_word,
+)
+from filteralg.partitions import enumerate_partitions
+from reference import (
+    c_stat,
+    compose,
+    full_symmetrizer,
+    sign_symmetrizer,
     tableau_symmetrizer,
 )
-from filteralg.partitions import c_stat, enumerate_partitions
 
 B20 = SuperBasis(2, 0)
 B11 = SuperBasis(1, 1)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from filteralg.partitions import (
-    c_stat,
     check_partition,
     conjugate,
     contains,
@@ -16,6 +15,7 @@ from filteralg.partitions import (
     in_hook,
     parse_partition,
 )
+from reference import c_stat
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import CATALOG_SPECS
 from filteralg.dims import f_lambda, w_dim
 from filteralg.filters import Filter
+from filteralg.oracle import SuperBasis, check_ideal
 from filteralg.partitions import (
     enumerate_avoiding,
     enumerate_partitions,
@@ -215,6 +216,8 @@ def test_size_arguments_must_be_integers(bad):
         (lambda: dim_quotient(f, bad), "n"),
         (lambda: f.complement_at(bad), "n"),
         (lambda: enumerate_avoiding(f.generators, bad), "n_max"),
+        (lambda: enumerate_partitions(bad), "n"),
+        (lambda: check_ideal([(1, 1)], SuperBasis(1, 0), bad), "n_max"),
     ]
     for call, name in calls:
         with pytest.raises(ValueError, match=f"^{name} must be integers"):
