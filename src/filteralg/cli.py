@@ -6,21 +6,19 @@ json`` (and ``csv`` for series) for scripting; ``growth`` always prints
 JSON.  Each command returns its exit code, a JSON payload and its text
 lines, and :func:`main` prints one of the two.  Exit codes: 0 success or
 true verdict, 1 false verdict, 2 usage error, 3 enumeration cap
-exceeded.  ``FILTERALG_DIM_CAP`` overrides the oracle ambient cap.
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .dims import f_lambda, schur_dim, w_dim
 from .filters import Filter
 from .lr import lr_coefficient, outer_product
 from .oracle import (
-    DIM_CAP,
     CapExceeded,
     EE_DEGREE_CAP,
     SuperBasis,
@@ -39,19 +37,6 @@ from .series import series, verify_growth
 
 # What every ``_cmd_*`` returns: exit code, JSON payload, text lines.
 Result = tuple[int, dict, list[str]]
-
-
-def _dim_cap() -> int:
-    raw = os.environ.get("FILTERALG_DIM_CAP")
-    if not raw:
-        return DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"FILTERALG_DIM_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _verdict(ok: bool, payload: dict, lines: list[str]) -> Result:
@@ -143,11 +128,10 @@ def _cmd_growth(args) -> Result:
 def _cmd_oracle_decompose(args) -> Result:
     basis = SuperBasis(args.k, args.l)
     n = args.n
-    cap = _dim_cap()
     blocks = []
     lines = []
     for lam in enumerate_partitions(n):
-        dim = module_W(lam, basis, n, cap).dim
+        dim = module_W(lam, basis, n).dim
         w = w_dim(lam, args.k, args.l)
         blocks.append({"lambda": list(lam), "module": dim, "w": w})
         lines.append(f"{display_partition(lam)} module={dim} w={w}")
@@ -181,7 +165,7 @@ def _cmd_oracle_check_ideal(args) -> Result:
         for lam in enumerate_partitions(n)
         if filt.member(lam)
     ]
-    ok = check_ideal(members, basis, args.n_max, _dim_cap())
+    ok = check_ideal(members, basis, args.n_max)
     return _verdict(ok, {"n_max": args.n_max}, [])
 
 
@@ -189,7 +173,7 @@ def _cmd_oracle_identity(args) -> Result:
     filt, basis = _filter_with_basis(args.file, "identity")
     # Above degree --n no substitution of total degree n exists.
     g = named_poly(args.poly, max_degree=args.n)
-    ok = evaluate_identity(g, filt, basis, args.n, _dim_cap())
+    ok = evaluate_identity(g, filt, basis, args.n)
     return _verdict(ok, {"poly": args.poly, "n": args.n}, [])
 
 

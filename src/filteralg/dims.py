@@ -34,11 +34,12 @@ one alphabet, row offsets), so it multiplies ``k*l`` corner hooks rather
 than a product over every cell.  ``_w_dim`` calls it for one shape; the
 series layer calls it for each (arm, leg) pair it walks, and never
 builds the shape.
-``hs_eval`` runs its dynamic program over integers, scaling the point by
-the common denominator of its coordinates.  The tests check these
-formulas against independent references in ``tests/reference.py``: a
-corner-removal recursion for ``f_lambda`` and a literal enumeration of
-the tableaux for ``schur_dim``.
+``hs_eval`` chains horizontal strips over integers, scaling the point by
+the common denominator of its coordinates; the primed letters add their
+strips to the conjugate shape.  The tests check these formulas against
+independent references in ``tests/reference.py``: a corner-removal
+recursion for ``f_lambda`` and a literal enumeration of the tableaux
+for ``schur_dim``.
 
 The public functions validate their arguments; the series layer calls
 the unchecked ``_w_dim`` and ``_corner_w`` on the shapes it generates
@@ -293,43 +294,23 @@ def hs_eval(lam, xs: Sequence, ys: Sequence) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _hs_eval(lam: Partition, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    states: dict[Partition, int] = {(): 1}
-    for x in xs:
+    # A primed letter fills a vertical strip of lam, i.e. a horizontal
+    # strip of its conjugate.
+    states = _strip_chain({(): 1}, lam, xs)
+    conj = conjugate(lam)
+    states = _strip_chain({conjugate(s): v for s, v in states.items()}, conj, ys)
+    return states.get(conj, 0)
+
+
+def _strip_chain(
+    states: dict[Partition, int], theta: Partition, weights: tuple[int, ...]
+) -> dict[Partition, int]:
+    """Extend each shape inside ``theta`` by one weighted horizontal strip per weight."""
+    for x in weights:
         nxt: dict[Partition, int] = {}
         for shape, val in states.items():
             size = sum(shape)
-            for ext in _hstrip_extensions(shape, lam):
+            for ext in _hstrip_extensions(shape, theta):
                 nxt[ext] = nxt.get(ext, 0) + val * x ** (sum(ext) - size)
         states = nxt
-    for y in ys:
-        nxt = {}
-        for shape, val in states.items():
-            size = sum(shape)
-            for ext in _vstrip_extensions(shape, lam):
-                nxt[ext] = nxt.get(ext, 0) + val * y ** (sum(ext) - size)
-        states = nxt
-    return states.get(lam, 0)
-
-
-def _vstrip_extensions(phi: Partition, theta: Partition) -> Iterator[Partition]:
-    """Shapes ``psi`` over ``phi`` inside ``theta`` adding at most one cell per row."""
-    rows = len(theta)
-
-    def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if i == rows:
-            yield ()
-            return
-        base = phi[i] if i < len(phi) else 0
-        for add in (0, 1):
-            v = base + add
-            if v == 0:
-                # this row stays empty, hence so do all rows below it
-                yield ()
-                continue
-            if v > theta[i] or v > prev:
-                continue
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for choice in rec(0, sum(theta) + 1):
-        yield choice
+    return states

@@ -4,25 +4,19 @@
 shape ``nu/mu`` with content ``lam`` whose reverse reading word (rows
 top to bottom, each row right to left) is a lattice word.
 
-:func:`outer_product` generates the shapes ``nu`` with ``c > 0``
-directly, one letter of the content at a time, as Buch's ``lrcalc``
-does.  The ``j``'s of a filling form a horizontal strip with row counts
-``a_r``; since each row reads its ``j``'s before its ``j-1``'s, the
-lattice condition is the prefix bound "``j``'s in rows ``<= r`` are at
-most the ``j-1``'s in rows ``< r``".  A strip therefore depends only on
-the shape so far and the previous letter's row counts, and the
-generation carries ``(shape, prefix counts) -> number of fillings``
-from letter to letter, merging equal states.  The argument with fewer
-rows is the content, since the coefficient is symmetric in
-``(mu, lam)``.
-
-:func:`lr_coefficient` answers a single ``nu`` with the per-shape
-enumerator ``_count_fillings``, which fills the cells of ``nu/mu`` in
-reading order and checks the row, column, content and lattice-prefix
-constraints the moment a value is placed.  The tests call it uncached
-as the reference for the generation, and check both against a monomial
-expansion of Schur polynomials built on the tableau enumeration in
-``tests/reference.py``.
+:func:`outer_product` and :func:`lr_coefficient` generate the shapes
+``nu`` with ``c > 0`` directly, one letter of the content at a time, as
+Buch's ``lrcalc`` does.  The ``j``'s of a filling form a horizontal
+strip with row counts ``a_r``; since each row reads its ``j``'s before
+its ``j-1``'s, the lattice condition is the prefix bound "``j``'s in
+rows ``<= r`` are at most the ``j-1``'s in rows ``< r``".  A strip
+therefore depends only on the shape so far and the previous letter's
+row counts, and the generation carries ``(shape, prefix counts) ->
+number of fillings`` from letter to letter, merging equal states.  The
+argument with fewer rows is the content, since the coefficient is
+symmetric in ``(mu, lam)``.  For a single ``nu`` no row grows past
+``nu``'s.  The tests check both against the cell-by-cell enumerator
+and a monomial expansion of Schur polynomials in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -41,45 +35,11 @@ class LRExpansion:
     degree: int = 0
 
 
-def _count_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:
-    """Count lattice fillings of ``nu/mu`` with content ``lam`` (uncached).
-
-    The arguments must be valid partitions.
-    """
-    if sum(mu) + sum(lam) != sum(nu):
-        return 0
-    if not contains(mu, nu) or not contains(lam, nu):
-        return 0
-    rows = len(nu)
-    mu_pad = mu + (0,) * (rows - len(mu))
-    nvals = len(lam)
-    counts = [0] * (nvals + 1)
-    grid = [[0] * r for r in nu]
-    cells = [
-        (r, c) for r in range(rows) for c in range(nu[r] - 1, mu_pad[r] - 1, -1)
-    ]
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        upper = grid[r][c + 1] if c + 1 < nu[r] else nvals
-        above = grid[r - 1][c] if r > 0 and c >= mu_pad[r - 1] else 0
-        total = 0
-        for v in range(above + 1, upper + 1):
-            if counts[v] < lam[v - 1] and (v == 1 or counts[v - 1] > counts[v]):
-                counts[v] += 1
-                grid[r][c] = v
-                total += place(idx + 1)
-                counts[v] -= 1
-        return total
-
-    return place(0)
-
-
 @lru_cache(maxsize=None)
 def _lr_cached(mu: Partition, lam: Partition, nu: Partition) -> int:
-    return _count_fillings(mu, lam, nu)
+    if sum(mu) + sum(lam) != sum(nu) or not contains(mu, nu):
+        return 0
+    return _generate(mu, lam, nu).get(nu, 0)
 
 
 def lr_coefficient(mu, lam, nu) -> int:
@@ -87,17 +47,20 @@ def lr_coefficient(mu, lam, nu) -> int:
 
     Zero whenever the degrees do not add up or one of ``mu``, ``lam`` is
     not contained in ``nu``.  Results are memoized with the arguments in
-    a canonical order, since the coefficient is symmetric in
-    ``(mu, lam)``.
+    a canonical order, the content ``lam`` having no more rows than
+    ``mu``, since the coefficient is symmetric in ``(mu, lam)``.
     """
     mu, lam, nu = check_partition(mu), check_partition(lam), check_partition(nu)
-    if lam < mu:
+    if (len(lam), lam) > (len(mu), mu):
         mu, lam = lam, mu
     return _lr_cached(mu, lam, nu)
 
 
 def _strips(
-    shape: Partition, size: int, bound: tuple[int, ...] | None
+    shape: Partition,
+    size: int,
+    bound: tuple[int, ...] | None,
+    nu: Partition | None,
 ) -> list[tuple[Partition, tuple[int, ...]]]:
     """Horizontal strips of ``size`` cells added to ``shape``.
 
@@ -105,12 +68,15 @@ def _strips(
     the number of added cells in rows ``<= r``, over the rows of the new
     shape.  With a ``bound`` (the previous letter's prefix counts),
     ``prefix[r]`` may not exceed ``bound[r-1]``: nothing goes in row 0,
-    and past the end of ``bound`` its last entry holds.
+    and past the end of ``bound`` its last entry holds.  With ``nu``
+    (containing ``shape``), the new shape stays inside ``nu``.
     """
     rows = len(shape) + 1
     old = shape + (0,)
     # Cells row r may take, and the prefix count rows <= r may reach.
     room = [size] + [old[r - 1] - old[r] for r in range(1, rows)]
+    if nu is not None:
+        room = [min(room[r], nu[r] - old[r]) if r < len(nu) else 0 for r in range(rows)]
     if bound is None:
         cap = [size] * rows
     else:
@@ -125,8 +91,8 @@ def _strips(
 
     def place(r: int, done: int) -> None:
         if done == size:
-            nu = tuple(new[:r]) + shape[r:]
-            out.append((nu, tuple(prefix[:r]) + (size,) * (len(nu) - r)))
+            grown = tuple(new[:r]) + shape[r:]
+            out.append((grown, tuple(prefix[:r]) + (size,) * (len(grown) - r)))
             return
         left = size - done
         if tail[r] < left:
@@ -142,6 +108,25 @@ def _strips(
     return out
 
 
+def _generate(mu: Partition, lam: Partition, nu: Partition | None) -> dict[Partition, int]:
+    """Shapes reached from ``mu`` by the lattice strips of content ``lam``.
+
+    Maps each shape to its number of fillings, i.e. its coefficient.
+    With ``nu`` (containing ``mu``), only shapes inside ``nu`` are kept.
+    """
+    states: dict[tuple[Partition, tuple[int, ...] | None], int] = {(mu, None): 1}
+    for size in lam:
+        nxt: dict[tuple[Partition, tuple[int, ...] | None], int] = {}
+        for (shape, bound), mult in states.items():
+            for state in _strips(shape, size, bound, nu):
+                nxt[state] = nxt.get(state, 0) + mult
+        states = nxt
+    terms: dict[Partition, int] = {}
+    for (shape, _), mult in states.items():
+        terms[shape] = terms.get(shape, 0) + mult
+    return terms
+
+
 def outer_product(mu, lam) -> LRExpansion:
     """Full decomposition of the outer product of ``mu`` and ``lam``.
 
@@ -152,16 +137,7 @@ def outer_product(mu, lam) -> LRExpansion:
     mu, lam = check_partition(mu), check_partition(lam)
     if len(lam) > len(mu):
         mu, lam = lam, mu
-    states: dict[tuple[Partition, tuple[int, ...] | None], int] = {(mu, None): 1}
-    for size in lam:
-        nxt: dict[tuple[Partition, tuple[int, ...] | None], int] = {}
-        for (shape, bound), mult in states.items():
-            for state in _strips(shape, size, bound):
-                nxt[state] = nxt.get(state, 0) + mult
-        states = nxt
-    terms: dict[Partition, int] = {}
-    for (shape, _), mult in states.items():
-        terms[shape] = terms.get(shape, 0) + mult
+    terms = _generate(mu, lam, None)
     return LRExpansion(
         terms={nu: terms[nu] for nu in sorted(terms, reverse=True)},
         degree=sum(mu) + sum(lam),

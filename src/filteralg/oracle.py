@@ -16,16 +16,16 @@ Conventions, fixed once and pinned by the associativity and sign tests:
 Everything downstream is spans of such vectors inside the full
 ``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
 bases so that subspace equality is literal comparison.  Hard caps keep
-the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (the functions
-that build blocks take it as ``cap``, so the command line can override
-it), and :func:`check_annihilation` refuses a value of total degree
-above ``DEGREE_CAP = 7``.  The EE criterion (:func:`is_identity_EE`) is
-decided exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
-dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
-ranks of ``2^(d//2 + 1)`` blocks, one per character of an abelian
-symmetry group of the ``f_I``, each over one column per orbit of that
-group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 6``.  Each function reads
-its cap from the module when it is called.  Exceeding a cap raises
+the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
+``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
+refuses a value of total degree above ``DEGREE_CAP = 7``.  The EE
+criterion (:func:`is_identity_EE`) is decided exhaustively up to degree
+``EE_DEGREE_CAP = 9``, and the dimension of its identity space
+(:func:`ee_identity_kernel_dim`, dense ranks of ``2^(d//2 + 1)``
+blocks, one per character of an abelian symmetry group of the ``f_I``,
+each over one column per orbit of that group on ``S_d``) up to
+``KERNEL_DEGREE_CAP = 6``.  Each function reads its cap from the module
+(and the environment) when it is called.  Exceeding a cap raises
 :class:`CapExceeded`, never approximates.  The fully listed Young
 symmetrizers that the tests check :func:`module_W` against live in
 ``tests/reference.py``.
@@ -49,6 +49,7 @@ per-permutation action and the module seeds call it.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -110,7 +111,19 @@ class SuperBasis:
         return product(self.letters, repeat=n)
 
 
-def _check_cap(basis: SuperBasis, n: int, cap: int) -> None:
+def _check_cap(basis: SuperBasis, n: int) -> None:
+    """Refuse an ambient ``(k+l)^n`` above ``FILTERALG_DIM_CAP``, if set,
+    else above ``DIM_CAP``."""
+    raw = os.environ.get("FILTERALG_DIM_CAP")
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"FILTERALG_DIM_CAP must be a positive integer, got {raw!r}")
+    else:
+        cap = DIM_CAP
     if basis.dim**n > cap:
         raise CapExceeded(
             f"ambient dimension {basis.dim}**{n} exceeds cap {cap}"
@@ -234,7 +247,7 @@ def _standard_tableaux(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
 # Subspaces of a degree slice.
 
 
-def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> EchelonBasis:
+def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     """The isotypic block of the shape inside the degree-``n`` slice.
 
     It is ``V^n * x * Q[S_n]``, where ``x`` is ``e_T = R+ C-`` for the
@@ -255,8 +268,8 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> EchelonBasis
     even letter (``G = C``); such orbits are skipped, and so are the
     terms of ``w * G`` that ``H`` cancels by the same rule.  The seeding
     therefore costs at most ``(k+l)^n`` twisted actions for the first
-    pass and ``(k+l)^n * |H|`` for the second, so ``cap``, which bounds
-    the ambient dimension ``(k+l)^n``, bounds the work as well.
+    pass and ``(k+l)^n * |H|`` for the second, so the cap on the ambient
+    dimension ``(k+l)^n`` bounds the work as well.
 
     *Translates.*  ``x * Q[S_n]`` has the basis ``x * sigma_S``, one per
     standard tableau ``S`` (the standard basis of the Specht module),
@@ -272,7 +285,7 @@ def module_W(lam, basis: SuperBasis, n: int, cap: int = DIM_CAP) -> EchelonBasis
     lam = check_partition(lam)
     if sum(lam) != n:
         raise ValueError(f"|{lam}| != n = {n}")
-    _check_cap(basis, n, cap)
+    _check_cap(basis, n)
     return _module_W_cached(lam, basis.k, basis.l)
 
 
@@ -371,30 +384,32 @@ def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]]) -> Perm:
     return tuple(img)
 
 
-def ideal_subspace(
-    omega: Filter, basis: SuperBasis, n: int, cap: int = DIM_CAP
-) -> EchelonBasis:
-    """Degree-``n`` slice of the subspace attached to the filter members."""
-    _check_cap(basis, n, cap)
+def ideal_subspace(omega: Filter, basis: SuperBasis, n: int) -> EchelonBasis:
+    """Degree-``n`` slice of the subspace attached to the filter members.
+
+    A filter with an ambient must be over the basis's ``(k, l)``: its
+    membership counts the adjoined ``k+1 x l+1`` rectangle.
+    """
+    if omega.ambient is not None and omega.ambient != (basis.k, basis.l):
+        raise ValueError(
+            f"filter ambient {omega.ambient} differs from the basis ({basis.k}, {basis.l})"
+        )
+    _check_cap(basis, n)
     return _blocks_span(
-        [lam for lam in enumerate_partitions(n) if omega.member(lam)], basis, n, cap
+        [lam for lam in enumerate_partitions(n) if omega.member(lam)], basis, n
     )
 
 
-def _blocks_span(
-    shapes: Iterable[Partition], basis: SuperBasis, n: int, cap: int
-) -> EchelonBasis:
+def _blocks_span(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> EchelonBasis:
     """Sum of the ``module_W`` blocks of the given size-``n`` shapes."""
     sub = EchelonBasis()
     for lam in shapes:
-        for row in module_W(lam, basis, n, cap).rows():
+        for row in module_W(lam, basis, n).rows():
             sub.insert(row)
     return sub
 
 
-def check_ideal(
-    omega_set: Iterable, basis: SuperBasis, n_max: int, cap: int = DIM_CAP
-) -> bool:
+def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     """Decide whether the blocks of the given shapes form a two-sided ideal.
 
     For each degree ``n < n_max`` and each basis vector ``v`` of the
@@ -404,10 +419,10 @@ def check_ideal(
     point of the check.
     """
     n_max = check_size(n_max, "n_max")
-    _check_cap(basis, n_max, cap)
+    _check_cap(basis, n_max)
     members = {check_partition(m) for m in omega_set}
     slices = {
-        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n, cap)
+        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n)
         for n in range(n_max + 1)
     }
     for n in range(n_max):
@@ -425,12 +440,15 @@ def generated_ideal(
     relations: Iterable[dict], basis: SuperBasis, n: int
 ) -> EchelonBasis:
     """Degree-``n`` slice of the two-sided ideal spanned by degree-2 relations."""
-    _check_cap(basis, n, DIM_CAP)
+    _check_cap(basis, n)
     rels = []
     for rel in relations:
         rel = intify(rel)
         if any(len(w) != 2 for w in rel):
             raise ValueError("relations must be homogeneous of degree 2")
+        for w in rel:
+            for z in w:
+                basis.parity(z)
         rels.append(rel)
     sub = EchelonBasis()
     if n >= 2:
@@ -652,7 +670,7 @@ def _substitute(items: Iterable[tuple[Perm, int]], words: Sequence[Word]) -> dic
 
 
 def evaluate_identity(
-    g: MultilinearPoly, omega: Filter, basis: SuperBasis, n: int, cap: int = DIM_CAP
+    g: MultilinearPoly, omega: Filter, basis: SuperBasis, n: int
 ) -> bool:
     """True iff ``g`` vanishes identically on the quotient in degree ``n``.
 
@@ -661,8 +679,7 @@ def evaluate_identity(
     multilinear, ``g`` vanishes on the whole algebra iff it does on
     these monomial tuples.
     """
-    _check_cap(basis, n, cap)
-    ideal = ideal_subspace(omega, basis, n, cap)
+    ideal = ideal_subspace(omega, basis, n)
     items = g.int_coeffs()
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
     for comp in _compositions(n, g.degree):

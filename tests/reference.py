@@ -2,9 +2,10 @@
 
 Each one computes a quantity the package also computes, by a route that
 shares none of the package's shortcuts: standard tableaux by corner
-removal, ``(k,l)``-semistandard tableaux by listing them, Young
-symmetrizers by listing their groups, and the size of a shape below its
-first row.  They are meant for small inputs only.
+removal, ``(k,l)``-semistandard tableaux by listing them,
+Littlewood-Richardson fillings cell by cell, Young symmetrizers by
+listing their groups, and the size of a shape below its first row.
+They are meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from filteralg.oracle import (
     _group_sum,
     _tableau_blocks,
 )
-from filteralg.partitions import Partition, check_partition
+from filteralg.partitions import Partition, check_partition, contains
 
 
 def c_stat(lam: Partition) -> int:
@@ -95,6 +96,42 @@ def iter_super_tableaux(lam, k: int, l: int) -> Iterator[tuple[tuple[int, ...], 
 def schur_dim_by_enumeration(lam, k: int, l: int) -> int:
     """Independent oracle for ``schur_dim``: literally count the tableaux."""
     return sum(1 for _ in iter_super_tableaux(lam, k, l))
+
+
+def count_lr_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:
+    """Count lattice fillings of ``nu/mu`` with content ``lam`` (uncached).
+
+    The arguments must be valid partitions.
+    """
+    if sum(mu) + sum(lam) != sum(nu):
+        return 0
+    if not contains(mu, nu) or not contains(lam, nu):
+        return 0
+    rows = len(nu)
+    mu_pad = mu + (0,) * (rows - len(mu))
+    nvals = len(lam)
+    counts = [0] * (nvals + 1)
+    grid = [[0] * r for r in nu]
+    cells = [
+        (r, c) for r in range(rows) for c in range(nu[r] - 1, mu_pad[r] - 1, -1)
+    ]
+
+    def place(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        upper = grid[r][c + 1] if c + 1 < nu[r] else nvals
+        above = grid[r - 1][c] if r > 0 and c >= mu_pad[r - 1] else 0
+        total = 0
+        for v in range(above + 1, upper + 1):
+            if counts[v] < lam[v - 1] and (v == 1 or counts[v - 1] > counts[v]):
+                counts[v] += 1
+                grid[r][c] = v
+                total += place(idx + 1)
+                counts[v] -= 1
+        return total
+
+    return place(0)
 
 
 # ---------------------------------------------------------------------------

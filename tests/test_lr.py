@@ -3,9 +3,9 @@ from math import comb
 from hypothesis import example, given, settings, strategies as st
 
 from filteralg.dims import f_lambda
-from filteralg.lr import _count_fillings, lr_coefficient, outer_product
+from filteralg.lr import _generate, lr_coefficient, outer_product
 from filteralg.partitions import conjugate, contains, enumerate_partitions
-from reference import iter_super_tableaux
+from reference import count_lr_fillings, iter_super_tableaux
 
 
 def all_partitions_upto(n_max):
@@ -129,7 +129,7 @@ def test_generated_expansion_matches_enumerator(mu, lam):
     n = sum(mu) + sum(lam)
     expected = {}
     for nu in enumerate_partitions(n):
-        c = _count_fillings(mu, lam, nu)
+        c = count_lr_fillings(mu, lam, nu)
         if c:
             expected[nu] = c
     exp = outer_product(mu, lam)
@@ -147,9 +147,26 @@ def test_symmetry_exhaustive():
             n = sum(mu) + sum(lam)
             for nu in enumerate_partitions(n):
                 # raw enumerator on both orders, bypassing the cache
-                assert _count_fillings(mu, lam, nu) == _count_fillings(
+                assert count_lr_fillings(mu, lam, nu) == count_lr_fillings(
                     lam, mu, nu
                 ), (mu, lam, nu)
+
+
+def test_coefficient_matches_enumerator_exhaustive():
+    # Every nu of size |mu| + |lam|, most of which miss mu or lam, and
+    # every nu one cell short or one cell over.
+    shapes = all_partitions_upto(5)
+    for mu in shapes:
+        for lam in shapes:
+            n = sum(mu) + sum(lam)
+            for size in (n - 1, n, n + 1):
+                for nu in enumerate_partitions(max(size, 0)):
+                    assert lr_coefficient(mu, lam, nu) == count_lr_fillings(
+                        mu, lam, nu
+                    ), (mu, lam, nu)
+                    # The generation bounded by nu reaches no other shape.
+                    if size == n and contains(mu, nu):
+                        assert set(_generate(mu, lam, nu)) <= {nu}, (mu, lam, nu)
 
 
 def test_conjugation_symmetry():

@@ -174,6 +174,18 @@ def test_cap_enforced():
         module_W((1,) * 13, B20, 13)
 
 
+def test_cap_read_from_environment_when_called(monkeypatch):
+    # 3**3 = 27 words exceed a cap of 8; "x" is not a positive integer.
+    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    with pytest.raises(CapExceeded):
+        module_W((2, 1), B21, 3)
+    monkeypatch.setenv("FILTERALG_DIM_CAP", "x")
+    with pytest.raises(ValueError, match="FILTERALG_DIM_CAP"):
+        module_W((2, 1), B21, 3)
+    monkeypatch.delenv("FILTERALG_DIM_CAP")
+    assert module_W((2, 1), B21, 3).dim == w_dim((2, 1), 2, 1)
+
+
 def test_decomposition_against_formulas():
     for basis in (B20, B11, B21):
         for n in range(5):
@@ -463,6 +475,26 @@ def test_generated_ideal_reconstructions():
 def test_generated_ideal_rejects_wrong_degree():
     with pytest.raises(ValueError):
         generated_ideal([{(1, 1, 1): 1}], B20, 3)
+
+
+@pytest.mark.parametrize("word, n", [((1, 3), 2), ((0, 1), 3)])
+def test_generated_ideal_rejects_letters_outside_basis(word, n):
+    with pytest.raises(ValueError, match="outside"):
+        generated_ideal([{word: 1}], B20, n)
+
+
+def test_filter_ambient_must_match_basis():
+    # The adjoined rectangle of another ambient would count as a member.
+    with pytest.raises(ValueError, match="ambient"):
+        evaluate_identity(commutator_product(1), Filter([(2,)], (2, 0)), B11, 3)
+    with pytest.raises(ValueError, match="ambient"):
+        ideal_subspace(Filter([(2, 2)], (0, 1)), B11, 3)
+    assert not evaluate_identity(commutator_product(1), Filter([(2,)], (1, 1)), B11, 3)
+    # A filter without an ambient is taken over the basis as it is.
+    assert ideal_subspace(Filter([(2, 2)]), B11, 3).dim == 0
+    assert ideal_subspace(Filter([(2, 1)]), B20, 3) == ideal_subspace(
+        Filter([(2, 1)], (2, 0)), B20, 3
+    )
 
 
 def test_evaluate_identity_commutativity():
