@@ -12,6 +12,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,7 +183,10 @@ def _cmd_oracle_ee(args) -> Result:
     return _verdict(is_identity_EE(g), {"poly": args.poly, "degree": g.degree}, [])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="filteralg",
         description="Exact computations with partition-filter algebras.",

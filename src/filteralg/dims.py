@@ -25,15 +25,10 @@ is summed.  A thin count with ``l > k`` is taken on the conjugate shape
 with the alphabets swapped, so the skew count runs over the shorter
 primed alphabet.
 
-The block dimension ``w_dim = f_lambda * schur_dim`` of a shape that
-covers the corner factors the same way: the hooks of arm and leg cells
-are the hooks of the arm and leg themselves, and only the ``k*l`` corner
-cells mix.  That corner formula lives in ``_corner_w``, which takes the
-arm and the leg each as a ``_corner_side`` (size, block dimension over
-one alphabet, row offsets), so it multiplies ``k*l`` corner hooks rather
-than a product over every cell.  ``_w_dim`` calls it for one shape; the
-series layer calls it for each (arm, leg) pair it walks, and never
-builds the shape.
+The block dimension is ``_w_dim = _f_hook * _schur_dim`` for every
+shape.  The series layer prices the shapes that cover the corner by a
+formula of its own, ``k*l`` corner hooks per (arm, leg) pair, and the
+tests check it against this product.
 ``hs_eval`` chains horizontal strips over integers, scaling the point by
 the common denominator of its coordinates; the primed letters add their
 strips to the conjugate shape.  The tests check these formulas against
@@ -42,8 +37,7 @@ recursion for ``f_lambda`` and a literal enumeration of the tableaux
 for ``schur_dim``.
 
 The public functions validate their arguments; the series layer calls
-the unchecked ``_w_dim`` and ``_corner_w`` on the shapes it generates
-itself.
+the unchecked ``_w_dim`` on the shapes it generates itself.
 """
 
 from __future__ import annotations
@@ -201,66 +195,16 @@ def w_dim(lam, k: int, l: int) -> int:
 def _w_dim(lam: Partition, k: int, l: int) -> int:
     """``f_lambda * schur_dim`` for a validated shape.
 
-    A shape outside the hook is 0 before any hook product is taken; a
-    shape that covers the ``k x l`` corner goes through
-    :func:`_corner_w`, and every other shape takes ``_f_hook *
-    _schur_dim``.
+    A shape outside the hook is 0 before any hook product is taken.
     """
     if not in_hook(lam, k, l):
         return 0
-    if not (k and l and len(lam) >= k and lam[k - 1] >= l):
-        return _f_hook(lam) * _schur_dim(lam, k, l)
-    arm, leg = _arm(lam, k, l), conjugate(lam[k:])
-    return _corner_w(_corner_side(arm, k), _corner_side(leg, l))
+    return _f_hook(lam) * _schur_dim(lam, k, l)
 
 
 def _arm(lam: Partition, k: int, l: int) -> Partition:
     """The first ``k`` rows of ``lam`` less ``l`` cells each."""
     return tuple(p - l for p in lam[:k] if p > l)
-
-
-CornerSide = tuple[int, int, tuple[int, ...]]
-
-
-def _corner_side(mu: Partition, m: int) -> CornerSide:
-    """What :func:`_corner_w` needs of an arm (``m = k``) or a leg (``m = l``).
-
-    That is ``|mu|``, ``w(mu, m, 0) = f_mu s_mu(1^m)`` and the offsets
-    ``mu_i + m - 1 - i`` for ``i < m``, ``mu`` padded with zeros; ``mu``
-    must have at most ``m`` parts.
-    """
-    padded = mu + (0,) * (m - len(mu))
-    offsets = tuple(p + m - 1 - i for i, p in enumerate(padded))
-    return sum(mu), _f_hook(mu) * _ssyt_count(mu, m), offsets
-
-
-def _corner_w(arm: CornerSide, leg: CornerSide) -> int:
-    """``w_dim`` of the shape made of a ``k x l`` corner, an arm and a leg.
-
-    ``arm`` and ``leg`` are the :func:`_corner_side` of ``alpha`` over
-    ``k`` and of ``beta`` over ``l``; the shape ``lam`` has rows ``l +
-    alpha_i`` for ``i < k`` over the conjugate of ``beta``.  The hook
-    of an arm cell stays inside the arm and that of a leg cell inside
-    the leg, so they are ``alpha``'s and ``beta``'s own hooks; only the
-    corner cell ``(i, j)`` mixes, with hook ``alpha_i + beta_j + (k-i)
-    + (l-j) - 1`` (0-indexed), one more than the sum of the two
-    offsets.  With the Berele--Regev factorisation of ``schur_dim``
-    this gives
-
-        w = |lam|! 2^(kl) w(alpha, k, 0) w(beta, l, 0)
-            / (|alpha|! |beta|! prod(corner hooks)),
-
-    an exact division over ``k*l`` small corner factors.
-    """
-    a_size, a_w, a_offsets = arm
-    b_size, b_w, b_offsets = leg
-    corner = 1
-    for x in a_offsets:
-        for y in b_offsets:
-            corner *= x + y + 1
-    cells = len(a_offsets) * len(b_offsets)
-    num = (factorial(a_size + b_size + cells) * a_w * b_w) << cells
-    return num // (factorial(a_size) * factorial(b_size) * corner)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,15 @@ its ``j-1``'s, the lattice condition is the prefix bound "``j``'s in
 rows ``<= r`` are at most the ``j-1``'s in rows ``< r``".  A strip
 therefore depends only on the shape so far and the previous letter's
 row counts, and the generation carries ``(shape, prefix counts) ->
-number of fillings`` from letter to letter, merging equal states.  The
-argument with fewer rows is the content, since the coefficient is
-symmetric in ``(mu, lam)``.  For a single ``nu`` no row grows past
-``nu``'s.  The tests check both against the cell-by-cell enumerator
-and a monomial expansion of Schur polynomials in ``tests/reference.py``.
+number of fillings`` from letter to letter, merging equal states.  Since
+``c^nu_{mu,lam} = c^nu_{lam,mu} = c^{nu'}_{mu',lam'}`` (Macdonald I.5),
+the generation runs on the cheapest of ``(mu, lam)``, ``(lam, mu)``,
+``(mu', lam')`` and ``(lam', mu')``: the content with the fewest rows
+(one letter per row), then the outer shape with the fewest, and the
+terms of a conjugated pair are conjugated back.  For a single ``nu`` no
+row grows past ``nu``'s (``nu'``'s when conjugated).  The tests check
+both against the cell-by-cell enumerator and a monomial expansion of
+Schur polynomials in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .partitions import Partition, check_partition, contains
+from .partitions import Partition, check_partition, conjugate, contains
 
 
 @dataclass
@@ -46,14 +50,31 @@ def lr_coefficient(mu, lam, nu) -> int:
     """The Littlewood-Richardson coefficient ``c^nu_{mu,lam}``.
 
     Zero whenever the degrees do not add up or one of ``mu``, ``lam`` is
-    not contained in ``nu``.  Results are memoized with the arguments in
-    a canonical order, the content ``lam`` having no more rows than
-    ``mu``, since the coefficient is symmetric in ``(mu, lam)``.
+    not contained in ``nu``.  Results are memoized on the orientation
+    :func:`_orient` picks, with ``nu`` conjugated along with the pair.
     """
     mu, lam, nu = check_partition(mu), check_partition(lam), check_partition(nu)
+    mu, lam, conjugated = _orient(mu, lam)
+    return _lr_cached(mu, lam, conjugate(nu) if conjugated else nu)
+
+
+def _orient(mu: Partition, lam: Partition) -> tuple[Partition, Partition, bool]:
+    """``(outer, content, conjugated)``: the pair the generation runs on.
+
+    The content has the fewest rows of the four orientations, then the
+    outer shape; ties keep the pair unconjugated and make the content
+    the smaller of ``(len, shape)``, so swapping the arguments gives the
+    same pair.  Row counts of a conjugate are first parts, so only the
+    chosen pair is conjugated.
+    """
     if (len(lam), lam) > (len(mu), mu):
         mu, lam = lam, mu
-    return _lr_cached(mu, lam, nu)
+    a, b = (mu[0] if mu else 0), (lam[0] if lam else 0)
+    if (min(a, b), max(a, b)) >= (len(lam), len(mu)):
+        return mu, lam, False
+    if b > a:
+        mu, lam = lam, mu
+    return conjugate(mu), conjugate(lam), True
 
 
 def _strips(
@@ -135,9 +156,10 @@ def outer_product(mu, lam) -> LRExpansion:
     :func:`~filteralg.partitions.enumerate_partitions`.
     """
     mu, lam = check_partition(mu), check_partition(lam)
-    if len(lam) > len(mu):
-        mu, lam = lam, mu
-    terms = _generate(mu, lam, None)
+    outer, content, conjugated = _orient(mu, lam)
+    terms = _generate(outer, content, None)
+    if conjugated:
+        terms = {conjugate(nu): c for nu, c in terms.items()}
     return LRExpansion(
         terms={nu: terms[nu] for nu in sorted(terms, reverse=True)},
         degree=sum(mu) + sum(lam),

@@ -8,10 +8,11 @@ from one walk over the shapes that avoid the generators and the corner
 rectangle (the ambient rectangle is a generator, so the walk stays in
 the hook), and prices each with ``w_dim``.  The others it takes as
 pairs of an arm and a leg, the two short partitions left when the
-corner is removed, from walks over arms and legs; each pair adds the
-corner formula of :func:`filteralg.dims._corner_w`, ``k*l`` small
-factors, without building the shape.  :func:`dim_quotient` prices the
-non-members of one size one by one and is the reference for it.
+corner is removed, from walks over arms and legs; each pair adds its
+block dimension from ``k*l`` corner hooks (the formula lives in
+:func:`_add_corner_shapes`), without building the shape.
+:func:`dim_quotient` prices the non-members of one size one by one with
+``_w_dim``, ``f_lambda * schur_dim``, and is the reference for it.
 Everything is exact integers; floats appear only in the final slope
 statistic of a growth report.
 """
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .dims import CornerSide, _arm, _corner_side, _corner_w, _w_dim
+from .dims import _arm, _f_hook, _ssyt_count, _w_dim
 from .filters import Filter
 from .partitions import (
     Partition,
@@ -64,20 +65,53 @@ def series(omega: Filter, n_max: int) -> DimensionSeries:
     return DimensionSeries(filter=omega, k=k, l=l, values=tuple(values))
 
 
+CornerSide = tuple[int, int, tuple[int, ...]]
+
+
+def _corner_side(mu: Partition, m: int) -> CornerSide:
+    """What :func:`_add_corner_shapes` needs of an arm (``m = k``) or a leg (``m = l``).
+
+    That is ``|mu|``, ``w(mu, m, 0) = f_mu s_mu(1^m)`` and the offsets
+    ``mu_i + m - 1 - i`` for ``i < m``, ``mu`` padded with zeros; ``mu``
+    must have at most ``m`` parts.
+    """
+    padded = mu + (0,) * (m - len(mu))
+    offsets = tuple(p + m - 1 - i for i, p in enumerate(padded))
+    return sum(mu), _f_hook(mu) * _ssyt_count(mu, m), offsets
+
+
 def _add_corner_shapes(
     values: list[int], gens: tuple[Partition, ...], k: int, l: int
 ) -> None:
     """Add the non-members that cover the ``k x l`` corner to ``values``.
 
-    Such a shape is the pair of its arm ``alpha`` (at most ``k`` parts)
-    and its leg ``beta`` (at most ``l`` parts), and it contains ``g``
-    exactly when ``alpha`` contains ``g``'s arm and, if ``g`` has more
-    than ``k`` rows, ``beta`` contains ``conjugate(g[k:])``.  So the
+    Such a shape ``lam`` is the pair of its arm ``alpha`` (at most ``k``
+    parts) and its leg ``beta`` (at most ``l`` parts): rows ``l +
+    alpha_i`` for ``i < k`` over the conjugate of ``beta``.  It contains
+    ``g`` exactly when ``alpha`` contains ``g``'s arm and, if ``g`` has
+    more than ``k`` rows, ``beta`` contains ``conjugate(g[k:])``.  So the
     arms are one walk, and for each arm the legs are a walk that avoids
     the legs of the long generators whose arms it contains; that leg
     list, sorted by size, is made once per set of such generators.
+
+    The hook of an arm cell stays inside the arm and that of a leg cell
+    inside the leg, so they are ``alpha``'s and ``beta``'s own hooks;
+    only the corner cell ``(i, j)`` mixes, with hook ``alpha_i + beta_j
+    + (k-i) + (l-j) - 1`` (0-indexed), one more than the sum of the two
+    :func:`_corner_side` offsets.  With the Berele--Regev factorisation of
+    ``schur_dim`` this gives
+
+        w = |lam|! 2^(kl) w(alpha, k, 0) w(beta, l, 0)
+            / (|alpha|! |beta|! prod(corner hooks)),
+
+    an exact division over ``k*l`` small corner factors, taken inline
+    for each pair with the arm's factors hoisted.
     """
-    budget = len(values) - 1 - k * l
+    kl = k * l
+    budget = len(values) - 1 - kl
+    fact = [1]
+    for i in range(1, len(values)):
+        fact.append(fact[-1] * i)
     arm_gens = [_arm(g, k, l) for g in gens if len(g) <= k] + [(1,) * (k + 1)]
     long_gens = [(_arm(g, k, l), conjugate(g[k:])) for g in gens if len(g) > k]
     leg_lists: dict[tuple[Partition, ...], list[CornerSide]] = {}
@@ -89,12 +123,19 @@ def _add_corner_shapes(
             legs = leg_lists[alive] = sorted(
                 (_corner_side(beta, l) for beta in walk), key=itemgetter(0)
             )
-        arm = _corner_side(alpha, k)
-        for leg in legs:
-            size = arm[0] + leg[0]
+        a_size, a_w, a_offsets = _corner_side(alpha, k)
+        a_hooks = [x + 1 for x in a_offsets]
+        a_num = a_w << kl
+        a_den = fact[a_size]
+        for b_size, b_w, b_offsets in legs:
+            size = a_size + b_size
             if size > budget:
                 break
-            values[size + k * l] += _corner_w(arm, leg)
+            corner = a_den * fact[b_size]
+            for x in a_hooks:
+                for y in b_offsets:
+                    corner *= x + y
+            values[size + kl] += fact[size + kl] * a_num * b_w // corner
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from filteralg import cli
 from filteralg.cli import main
 from filteralg.filters import Filter
 
@@ -283,6 +284,22 @@ def test_dim_cap_override(cap, code, monkeypatch, capsys):
     assert out == ""
     if code == 2:
         assert "FILTERALG_DIM_CAP" in err
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    # A usage error, --help and a cap exit on the shared parser leave no
+    # trace on the next call.
+    lr = ["lr", "--mu", "3,1", "--lam", "2,1", "--format", "json"]
+    assert main(lr) == 0
+    first = capsys.readouterr().out
+    assert main(["lr", "--mu", "3,1"]) == 2
+    assert main(["--help"]) == 0
+    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    assert main(["oracle", "decompose", "--k", "2", "--l", "1", "--n", "3"]) == 3
+    capsys.readouterr()
+    assert main(lr) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def _mostly(valid, junk):

@@ -1,7 +1,9 @@
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from filteralg import lr
 from filteralg.dims import f_lambda
 from filteralg.lr import _generate, lr_coefficient, outer_product
 from filteralg.partitions import conjugate, contains, enumerate_partitions
@@ -170,14 +172,56 @@ def test_coefficient_matches_enumerator_exhaustive():
 
 
 def test_conjugation_symmetry():
+    # Both sides share one cache entry, so each is checked against the
+    # enumerator rather than against the other.
     shapes = all_partitions_upto(5)
     for mu in shapes:
         for lam in shapes:
             n = sum(mu) + sum(lam)
             for nu in enumerate_partitions(n):
-                assert lr_coefficient(mu, lam, nu) == lr_coefficient(
-                    conjugate(mu), conjugate(lam), conjugate(nu)
-                )
+                conj = conjugate(mu), conjugate(lam), conjugate(nu)
+                expected = count_lr_fillings(mu, lam, nu)
+                assert lr_coefficient(mu, lam, nu) == expected, (mu, lam, nu)
+                assert lr_coefficient(*conj) == count_lr_fillings(*conj) == expected, conj
+
+
+@pytest.fixture
+def conjugated(monkeypatch):
+    """The shapes ``filteralg.lr`` conjugates, in call order."""
+    seen = []
+
+    def recording(lam):
+        seen.append(lam)
+        return conjugate(lam)
+
+    monkeypatch.setattr(lr, "conjugate", recording)
+    return seen
+
+
+def test_long_row_is_not_conjugated(conjugated):
+    # (2,1) as the content is one row short of (50,)' and needs two
+    # letters; conjugating (50,) would cost 50 rows.
+    exp = outer_product((50,), (2, 1))
+    assert list(exp.terms) == [(52, 1), (51, 2), (51, 1, 1), (50, 2, 1)]
+    assert lr_coefficient((50,), (2, 1), (52, 1)) == 1
+    assert conjugated == []
+
+
+def test_conjugated_orientation_matches_enumerator(conjugated):
+    # Columns are shorter than rows here, so the generation runs on the
+    # conjugate pair and conjugates its terms back.
+    mu, lam = (1,) * 7, (1,) * 6
+    expected = {}
+    for nu in enumerate_partitions(13):
+        c = count_lr_fillings(mu, lam, nu)
+        if c:
+            expected[nu] = c
+    assert list(outer_product(mu, lam).terms.items()) == list(expected.items())
+    assert mu in conjugated
+    del conjugated[:]
+    triple = (2, 1, 1), (2, 1, 1), (3, 2, 2, 1)
+    assert lr_coefficient(*triple) == count_lr_fillings(*triple) == 2
+    assert (3, 2, 2, 1) in conjugated
 
 
 def test_dimension_identity():
