@@ -35,7 +35,14 @@ def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
 
 
 def intify(vec: dict) -> dict:
-    """Scale a vector with rational entries to integers (drop zeros)."""
+    """Scale a vector with rational entries to integers (drop zeros).
+
+    A vector whose entries are all ``int`` is returned as a copy without
+    its zeros; any other entry (``bool`` included) goes through
+    ``Fraction``.
+    """
+    if all(type(c) is int for c in vec.values()):
+        return {key: c for key, c in vec.items() if c}
     denom = 1
     for c in vec.values():
         f = Fraction(c)
@@ -47,6 +54,13 @@ def intify(vec: dict) -> dict:
         if val:
             out[key] = val
     return out
+
+
+def dot(u: dict, v: dict):
+    """The sum of ``u[key] * v[key]`` over the keys both vectors share."""
+    if len(u) > len(v):
+        u, v = v, u
+    return sum(c * v.get(key, 0) for key, c in u.items())
 
 
 def _normalize(v: dict) -> None:

@@ -15,7 +15,13 @@ Conventions, fixed once and pinned by the associativity and sign tests:
 
 Everything downstream is spans of such vectors inside the full
 ``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
-bases so that subspace equality is literal comparison.  Hard caps keep
+bases so that subspace equality is literal comparison.  The action sends
+a word to a signed word, so the isotypic blocks of a slice are mutually
+orthogonal for the dot product on words, and the slice is their direct
+sum.  Membership in the blocks of a set of shapes is therefore decided
+on the quotient side: :func:`evaluate_identity` and :func:`check_ideal`
+test a vector's dot product with every row of every other block, and
+never build the span of the member blocks.  Hard caps keep
 the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
 ``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
 refuses a value of total degree above ``DEGREE_CAP = 7``.  The EE
@@ -44,7 +50,11 @@ A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
 :func:`filteralg.linalg.add_terms`, and :func:`star_group_algebra` is
 the only loop applying the twisted action to a vector: the
-per-permutation action and the module seeds call it.
+per-permutation action, the module seeds and the annihilation check
+call it.  It compiles each permutation once per call into an
+``itemgetter`` and a bit mask per position, so a term costs one XOR per
+odd letter; :func:`star_word` and :func:`f_I` stay as the single-word
+definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -55,11 +65,11 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
-from operator import xor
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
-from .linalg import EchelonBasis, add_terms, dense_rank, intify
+from .linalg import EchelonBasis, add_terms, dense_rank, dot, intify
 from .partitions import (
     Partition,
     check_alphabet,
@@ -162,23 +172,63 @@ def star_word(word: Word, sigma: Perm, basis: SuperBasis) -> tuple[int, Word]:
 
 
 def star_group_algebra(vec: dict, element: dict, basis: SuperBasis) -> dict:
-    """Apply a group-algebra element ``sum c_sigma sigma`` on the right."""
+    """Apply a group-algebra element ``sum c_sigma sigma`` on the right.
+
+    Each permutation is compiled once per call (:func:`_compiled`), so a
+    word costs one ``itemgetter`` call and, when it has odd letters, an
+    XOR over its odd positions; the result equals :func:`star_word`
+    term by term.
+    """
     out: dict = {}
     if not element:
         return out
     n = len(next(iter(element)))
+    compiled = [(*_compiled(sigma), c) for sigma, c in element.items()]
+    k = basis.k
     for w, a in vec.items():
         if len(w) != n:
             raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
+        odd = [i for i, z in enumerate(w) if z > k]
+        mask = sum(1 << i for i in odd)
         # The accumulate stays inline: this loop is the oracle's hot path.
-        for sigma, c in element.items():
-            sgn, w2 = star_word(w, sigma, basis)
-            nv = out.get(w2, 0) + sgn * c * a
+        for permuted, below, c in compiled:
+            x = 0
+            for i in odd:
+                x ^= below[i]
+            w2 = permuted(w)
+            nv = out.get(w2, 0) + (-c * a if (x & mask).bit_count() & 1 else c * a)
             if nv:
                 out[w2] = nv
             else:
                 out.pop(w2, None)
     return out
+
+
+def _compiled(sigma: Perm) -> tuple[Callable[[Word], Word], list[int]]:
+    """``sigma`` as ``(permuted, below)`` for :func:`star_group_algebra`.
+
+    ``permuted(w)`` is ``(w[sigma(1)], ..., w[sigma(n)])``.  Bit ``j`` of
+    ``below[i]`` (positions 0-based) is set when ``sigma`` places the
+    value ``j + 1`` after the value ``i + 1`` although ``j < i``, so the
+    inversions of ``sigma`` inside a set ``J`` of values are counted by
+    ``below[i] & J`` for ``i`` in ``J``: ``f_J(sigma)`` is ``-1`` to the
+    bit count of the XOR of those.  One right-to-left pass builds
+    ``below``.
+    """
+    n = len(sigma)
+    below = [0] * n
+    seen = 0
+    for s in reversed(sigma):
+        below[s - 1] = seen & ((1 << (s - 1)) - 1)
+        seen |= 1 << (s - 1)
+    return _permuter(sigma), below
+
+
+def _permuter(sigma: Perm) -> Callable[[Sequence], tuple]:
+    """``w -> (w[sigma(1)], ..., w[sigma(n)])`` as one ``itemgetter`` call."""
+    if len(sigma) < 2:
+        return tuple
+    return itemgetter(*[s - 1 for s in sigma])
 
 
 def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
@@ -390,14 +440,18 @@ def ideal_subspace(omega: Filter, basis: SuperBasis, n: int) -> EchelonBasis:
     A filter with an ambient must be over the basis's ``(k, l)``: its
     membership counts the adjoined ``k+1 x l+1`` rectangle.
     """
-    if omega.ambient is not None and omega.ambient != (basis.k, basis.l):
-        raise ValueError(
-            f"filter ambient {omega.ambient} differs from the basis ({basis.k}, {basis.l})"
-        )
+    _check_ambient(omega, basis)
     _check_cap(basis, n)
     return _blocks_span(
         [lam for lam in enumerate_partitions(n) if omega.member(lam)], basis, n
     )
+
+
+def _check_ambient(omega: Filter, basis: SuperBasis) -> None:
+    if omega.ambient is not None and omega.ambient != (basis.k, basis.l):
+        raise ValueError(
+            f"filter ambient {omega.ambient} differs from the basis ({basis.k}, {basis.l})"
+        )
 
 
 def _blocks_span(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> EchelonBasis:
@@ -409,29 +463,45 @@ def _blocks_span(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> Eche
     return sub
 
 
+def _blocks_rows(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> list[dict]:
+    """The echelon rows of the ``module_W`` blocks of the given size-``n``
+    shapes, block after block."""
+    return [row for lam in shapes for row in module_W(lam, basis, n).rows()]
+
+
+def _orthogonal(vec: dict, rows: Sequence[dict]) -> bool:
+    """Whether ``vec`` has dot product 0 with every row."""
+    return not any(dot(vec, row) for row in rows)
+
+
 def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     """Decide whether the blocks of the given shapes form a two-sided ideal.
 
-    For each degree ``n < n_max`` and each basis vector ``v`` of the
-    degree slice spanned by the listed shapes, both ``z (x) v`` and
-    ``v (x) z`` must land in the degree ``n+1`` slice, for every
-    generator ``z``.  The input need not be upward closed; that is the
-    point of the check.
+    For each degree ``n < n_max`` and each row ``v`` of a block of a
+    listed shape of size ``n``, both ``z (x) v`` and ``v (x) z`` must
+    land in the degree ``n+1`` slice spanned by the listed shapes, for
+    every generator ``z``.  That slice is tested from the quotient side:
+    a vector lies in it iff it is orthogonal to every block of an
+    unlisted shape (see :func:`evaluate_identity`).  The input need not
+    be upward closed; that is the point of the check.
     """
     n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max)
     members = {check_partition(m) for m in omega_set}
-    slices = {
-        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n)
-        for n in range(n_max + 1)
-    }
     for n in range(n_max):
-        target = slices[n + 1]
-        for row in slices[n].rows():
+        sources = _blocks_rows([lam for lam in members if sum(lam) == n], basis, n)
+        if not sources:
+            continue
+        others = _blocks_rows(
+            [lam for lam in enumerate_partitions(n + 1) if lam not in members],
+            basis,
+            n + 1,
+        )
+        for row in sources:
             for z in basis.letters:
                 left = {(z,) + w: c for w, c in row.items()}
                 right = {w + (z,): c for w, c in row.items()}
-                if not target.contains(left) or not target.contains(right):
+                if not _orthogonal(left, others) or not _orthogonal(right, others):
                     return False
     return True
 
@@ -658,15 +728,17 @@ def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _substitute(items: Iterable[tuple[Perm, int]], words: Sequence[Word]) -> dict:
-    """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at ``x_i = words[i-1]``."""
-    return add_terms(
-        {},
-        (
-            (tuple(chain.from_iterable(words[s - 1] for s in sigma)), c)
-            for sigma, c in items
-        ),
-    )
+def _terms(g: MultilinearPoly) -> list[tuple[Callable, int]]:
+    """``g``'s terms as ``(permuted, c)`` for :func:`_substitute`: ``c`` is
+    the coefficient scaled to an integer (identity-equivalent), and
+    ``permuted(words)`` puts the words in the term's order."""
+    return [(_permuter(sigma), c) for sigma, c in intify(g.coeffs).items()]
+
+
+def _substitute(terms: list[tuple[Callable, int]], words: Sequence[Word]) -> dict:
+    """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at
+    ``x_i = words[i-1]``, for the :func:`_terms` of the polynomial."""
+    return add_terms({}, ((sum(permuted(words), ()), c) for permuted, c in terms))
 
 
 def evaluate_identity(
@@ -678,14 +750,25 @@ def evaluate_identity(
     tested for membership in the filter's degree-``n`` subspace; being
     multilinear, ``g`` vanishes on the whole algebra iff it does on
     these monomial tuples.
+
+    Membership is tested from the quotient side.  The twisted action
+    sends each word to a signed word, so every permutation acts by an
+    orthogonal matrix on the word basis, and distinct isotypic blocks
+    are orthogonal (Serre, *Linear Representations of Finite Groups*,
+    2.6).  The degree-``n`` slice is the orthogonal direct sum of the
+    blocks, so a value lies in the members' blocks iff its dot product
+    with every row of every non-member block is 0.
     """
-    ideal = ideal_subspace(omega, basis, n)
-    items = g.int_coeffs()
+    _check_ambient(omega, basis)
+    _check_cap(basis, n)
+    others = _blocks_rows(
+        [lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n
+    )
+    terms = _terms(g)
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
     for comp in _compositions(n, g.degree):
         for tup in product(*[words_by_len[m] for m in comp]):
-            val = _substitute(items, tup)
-            if val and not ideal.contains(val):
+            if not _orthogonal(_substitute(terms, tup), others):
                 return False
     return True
 
@@ -892,7 +975,8 @@ def check_annihilation(
     component in the single-row or single-column blocks.  By orbits
     (:func:`_orbit_sums` with one block), ``value * S±`` is the sum of
     the nonzero ``seed * S±`` times ``sum element[p] * e * value[w]``
-    over ``(e, w) = star_word(seed, p)``, so each such scalar must be 0.
+    over ``(e, w) = star_word(seed, p)``, so each such scalar, the dot
+    product of ``seed * element`` with the value, must be 0.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
@@ -905,13 +989,9 @@ def check_annihilation(
     n = sum(len(w) for w in words)
     if n > DEGREE_CAP:
         raise CapExceeded(f"total degree {n} exceeds cap {DEGREE_CAP}")
-    value = _substitute(g.int_coeffs(), words)
+    value = _substitute(_terms(g), words)
     for signed in (False, True):
         for seed, element in _orbit_sums(value, [range(1, n + 1)], basis, signed):
-            total = 0
-            for p, c in element.items():
-                sgn, w = star_word(seed, p, basis)
-                total += c * sgn * value[w]
-            if total:
+            if dot(star_group_algebra({seed: 1}, element, basis), value):
                 return False
     return True

@@ -4,7 +4,9 @@ Each one computes a quantity the package also computes, by a route that
 shares none of the package's shortcuts: standard tableaux by corner
 removal, ``(k,l)``-semistandard tableaux by listing them,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
-listing their groups, and the size of a shape below its first row.
+listing their groups, membership in an ideal slice by echelon
+reduction against the span of the member blocks, and the size of a
+shape below its first row.
 They are meant for small inputs only.
 """
 
@@ -17,14 +19,23 @@ from typing import Iterator, Sequence
 
 from filteralg import oracle
 from filteralg.linalg import add_terms
+from filteralg.filters import Filter
 from filteralg.oracle import (
     CapExceeded,
+    MultilinearPoly,
     Perm,
+    SuperBasis,
+    _blocks_span,
+    _check_cap,
+    _compositions,
     _group_order,
     _group_sum,
+    _substitute,
     _tableau_blocks,
+    _terms,
+    ideal_subspace,
 )
-from filteralg.partitions import Partition, check_partition, contains
+from filteralg.partitions import Partition, check_partition, check_size, contains
 
 
 def c_stat(lam: Partition) -> int:
@@ -179,3 +190,44 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
     cminus = _group_sum(cols, n, signed=True)
     pairs = product(rplus.items(), cminus.items())
     return add_terms({}, ((compose(p, q), cp * cq) for (p, cp), (q, cq) in pairs))
+
+
+# ---------------------------------------------------------------------------
+# Identity and ideal verdicts on the span of the member blocks.
+
+
+def evaluate_identity_by_span(
+    g: MultilinearPoly, omega: Filter, basis: SuperBasis, n: int
+) -> bool:
+    """``evaluate_identity`` with each value reduced against the echelon
+    span of the member blocks (``ideal_subspace``)."""
+    ideal = ideal_subspace(omega, basis, n)
+    terms = _terms(g)
+    words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
+    for comp in _compositions(n, g.degree):
+        for tup in product(*[words_by_len[m] for m in comp]):
+            val = _substitute(terms, tup)
+            if val and not ideal.contains(val):
+                return False
+    return True
+
+
+def check_ideal_by_span(omega_set, basis: SuperBasis, n_max: int) -> bool:
+    """``check_ideal`` with each letter product reduced against the
+    echelon span of the listed shapes' blocks of the next degree."""
+    n_max = check_size(n_max, "n_max")
+    _check_cap(basis, n_max)
+    members = {check_partition(m) for m in omega_set}
+    slices = {
+        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n)
+        for n in range(n_max + 1)
+    }
+    for n in range(n_max):
+        target = slices[n + 1]
+        for row in slices[n].rows():
+            for z in basis.letters:
+                left = {(z,) + w: c for w, c in row.items()}
+                right = {w + (z,): c for w, c in row.items()}
+                if not target.contains(left) or not target.contains(right):
+                    return False
+    return True

@@ -123,14 +123,19 @@ def test_w_dim_against_recursion_and_enumeration():
                 assert dims._w_dim(lam, k, l) == f * schur_dim_by_enumeration(lam, k, l), (lam, k, l)
 
 
-def test_w_dim_against_hook_product_times_schur_dim():
-    # Shapes outside the hook included; the reference is the hook-length
-    # product and the Berele-Regev count, each over the whole shape.
-    for lam in all_partitions_upto(14):
+def test_w_dim_blocks_sum_to_the_degree_slice():
+    # The blocks decompose V^(x)n, so their dimensions over all shapes of
+    # size n sum to (k+l)^n; shapes outside the hook must contribute 0.
+    for n in range(15):
+        shapes = list(enumerate_partitions(n))
         for k in range(4):
             for l in range(4):
-                expected = dims._f_hook(lam) * dims._schur_dim(lam, k, l)
-                assert dims._w_dim(lam, k, l) == expected, (lam, k, l)
+                if k + l == 0:
+                    continue
+                assert sum(dims._w_dim(lam, k, l) for lam in shapes) == (k + l) ** n, (n, k, l)
+                for lam in shapes:
+                    if not in_hook(lam, k, l):
+                        assert dims._w_dim(lam, k, l) == 0, (lam, k, l)
 
 
 def test_w_dim_outside_hook_skips_f_lambda():

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from filteralg.linalg import EchelonBasis, add_terms, dense_rank
+from filteralg import linalg
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 
 
 def test_add_terms_drops_cancelled_keys_in_place():
@@ -27,6 +28,41 @@ def test_echelon_refuses_non_integer_coefficients():
         basis.contains({(1,): 1, (2,): Fraction(1, 2)})
     assert basis.contains({(1,): 4, (2,): 2})
     assert basis.rows() == [{(1,): 2, (2,): 1}]
+
+
+def _intify_by_fractions(vec):
+    """Every entry through ``Fraction``: the route for non-``int`` entries."""
+    denom = 1
+    for c in vec.values():
+        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
+    out = {k: Fraction(c) * denom for k, c in vec.items()}
+    return {k: int(c) for k, c in out.items() if c}
+
+
+@given(st.dictionaries(st.integers(0, 9), st.integers(-3, 3)))
+def test_intify_int_vectors_skip_fractions(vec):
+    def refuse(*args):
+        raise AssertionError("an int-only vector built a Fraction")
+
+    out = intify(vec)
+    assert out == _intify_by_fractions(vec)
+    assert 0 not in out.values() and all(type(c) is int for c in out.values())
+    assert out is not vec
+    saved, linalg.Fraction = linalg.Fraction, refuse
+    try:
+        assert intify(vec) == out
+    finally:
+        linalg.Fraction = saved
+
+
+def test_intify_other_entries_go_through_fractions():
+    assert intify({"a": True, "b": False, "c": 2}) == {"a": 1, "c": 2}
+    assert intify({"a": Fraction(1, 2), "b": Fraction(-1, 3), "c": 0}) == {"a": 3, "b": -2}
+    assert intify({"a": 0.5, "b": 1}) == {"a": 1, "b": 2}
+    for vec in ({"a": True}, {"a": Fraction(4, 2)}, {"a": 2.0}):
+        assert all(type(c) is int for c in intify(vec).values())
+    with pytest.raises(TypeError):
+        EchelonBasis().insert({"a": 1, "b": 0.5})
 
 
 def _reference_rank(rows):

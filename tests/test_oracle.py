@@ -13,6 +13,7 @@ from filteralg.filters import Filter
 from filteralg.oracle import (
     DEGREE_CAP,
     CapExceeded,
+    MultilinearPoly,
     Perm,
     SuperBasis,
     _standard_tableaux,
@@ -29,12 +30,15 @@ from filteralg.oracle import (
     standard_tableau,
     star_action,
     star_group_algebra,
+    standard_poly,
     star_word,
 )
-from filteralg.partitions import enumerate_partitions
+from filteralg.partitions import contains, enumerate_partitions, in_hook
 from reference import (
     c_stat,
+    check_ideal_by_span,
     compose,
+    evaluate_identity_by_span,
     full_symmetrizer,
     sign_symmetrizer,
     tableau_symmetrizer,
@@ -497,6 +501,22 @@ def test_filter_ambient_must_match_basis():
     )
 
 
+def test_verdicts_refuse_before_building_a_block(monkeypatch):
+    from filteralg import oracle
+
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(oracle, "module_W", refuse)
+    with pytest.raises(ValueError, match="ambient"):
+        evaluate_identity(commutator_product(1), Filter([(2,)], (2, 0)), B11, 3)
+    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    with pytest.raises(CapExceeded):
+        evaluate_identity(commutator_product(1), Filter([(2,)], (2, 1)), B21, 3)
+    with pytest.raises(CapExceeded):
+        check_ideal([(1,), (2,)], B21, 3)
+
+
 def test_evaluate_identity_commutativity():
     comm = commutator_product(1)
     sym = Filter([(1, 1)], (2, 0))
@@ -530,3 +550,100 @@ def test_evaluate_identity_finds_failures():
     comm = commutator_product(1)
     assert not evaluate_identity(comm, Filter([(2, 2)], (2, 0)), B20, 2)
     assert not evaluate_identity(comm, Filter([(2,)], (2, 0)), B20, 2)
+
+
+# The quotient-side verdicts against the span route, and the paper's
+# bijection on random shape sets.
+
+AMBIENTS = [(2, 0), (1, 1), (0, 2), (2, 1)]
+LIE3 = multilinear_from_free(
+    free_commutator(free_commutator(free_var(0), free_var(1)), free_var(2)), 3
+)
+NAMED = {
+    "commutators:1": commutator_product(1),
+    "commutators:2": commutator_product(2),
+    "lie3": LIE3,
+    "s3": standard_poly(3),
+    "s4": standard_poly(4),
+}
+
+
+@st.composite
+def _identity_inputs(draw):
+    basis = SuperBasis(*draw(st.sampled_from(AMBIENTS)))
+    shapes = st.integers(1, 4).flatmap(lambda m: st.sampled_from(list(enumerate_partitions(m))))
+    omega = Filter(draw(st.lists(shapes, min_size=1, max_size=2)), (basis.k, basis.l))
+    if draw(st.booleans()):
+        g = NAMED[draw(st.sampled_from(sorted(NAMED)))]
+    else:
+        d = draw(st.integers(2, 3))
+        perms = st.permutations(range(1, d + 1)).map(tuple)
+        g = MultilinearPoly(d, draw(st.dictionaries(perms, st.integers(-2, 2), min_size=1)))
+    n = draw(st.integers(g.degree, 5))
+    return g, omega, basis, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_identity_inputs())
+@example((commutator_product(1), Filter([(1, 1)], (2, 0)), B20, 4))
+@example((LIE3, Filter([(1, 1)], (1, 1)), B11, 5))
+@example((commutator_product(2), Filter([(2, 2)], (2, 0)), B20, 5))
+@example((commutator_product(1), Filter([(2,)], (1, 1)), B11, 3))
+@example((MultilinearPoly(1, {(1,): 1}), Filter([(2,)], (1, 1)), B11, 2))
+@example((MultilinearPoly(1, {(1,): 1}), Filter([(1,)], (2, 0)), B20, 2))
+def test_evaluate_identity_matches_span_route(inputs):
+    g, omega, basis, n = inputs
+    assert evaluate_identity(g, omega, basis, n) == evaluate_identity_by_span(
+        g, omega, basis, n
+    )
+
+
+@st.composite
+def _shape_sets(draw):
+    basis = SuperBasis(*draw(st.sampled_from(AMBIENTS)))
+    n_max = draw(st.integers(1, 4))
+    shapes = [lam for n in range(n_max + 1) for lam in enumerate_partitions(n)]
+    chosen = set(draw(st.lists(st.sampled_from(shapes), max_size=len(shapes))))
+    if draw(st.booleans()):
+        # Close upward, so that ideals are drawn as often as non-ideals.
+        chosen = {mu for mu in shapes if any(contains(lam, mu) for lam in chosen)}
+    return sorted(chosen), basis, n_max
+
+
+def _adding_a_box(lam):
+    """Every shape with one more cell than ``lam``."""
+    padded = lam + (0,)
+    return [
+        tuple(p for p in padded[:i] + (padded[i] + 1,) + padded[i + 1 :] if p)
+        for i in range(len(padded))
+        if i == 0 or padded[i - 1] > padded[i]
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_shape_sets())
+@example(([(1, 1)], B20, 3))
+@example(([(2,), (3,), (2, 1)], B11, 3))
+def test_check_ideal_matches_span_route(inputs):
+    shapes, basis, n_max = inputs
+    assert check_ideal(shapes, basis, n_max) == check_ideal_by_span(shapes, basis, n_max)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_shape_sets())
+@example(([(1, 1)], B20, 3))
+@example(([(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)], B20, 3))
+def test_check_ideal_iff_upward_closed_in_hook(inputs):
+    # The paper's bijection: the blocks of S form an ideal iff S, cut to
+    # the hook H(k,l) and to sizes up to n_max, is closed under adding a
+    # cell that stays in both.  A block outside the hook is zero.
+    shapes, basis, n_max = inputs
+    kept = {lam for lam in shapes if in_hook(lam, basis.k, basis.l) and sum(lam) <= n_max}
+    closed = all(
+        mu in kept
+        for lam in kept
+        if sum(lam) < n_max
+        for mu in _adding_a_box(lam)
+        if in_hook(mu, basis.k, basis.l)
+    )
+    assert check_ideal(shapes, basis, n_max) == closed
