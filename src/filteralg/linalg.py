@@ -173,3 +173,28 @@ def dense_rank(rows: list[list[int]]) -> int:
                     rest.append([x // g for x in r] if g > 1 else r)
         mat = rest
     return rank
+
+
+def dense_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination: each step's entries are 2x2 minors divided exactly by the
+    previous pivot.  A zero pivot swaps in the first row below it that is
+    nonzero in its column, flipping the sign; with none the result is 0.
+    """
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if not mat[i][i]:
+            swap = next((r for r in range(i + 1, n) if mat[r][i]), None)
+            if swap is None:
+                return 0
+            mat[i], mat[swap] = mat[swap], mat[i]
+            sign = -sign
+        p, pivot_row = mat[i][i], mat[i]
+        for r in mat[i + 1 :]:
+            c = r[i]
+            for j in range(i + 1, n):
+                r[j] = (r[j] * p - c * pivot_row[j]) // prev
+        prev = p
+    return sign * mat[-1][-1] if n else 1

@@ -69,8 +69,8 @@ def test_schur_dim_vanishes_outside_hook():
 
 def test_schur_dim_against_enumeration():
     for lam in all_partitions_upto(6):
-        for k in range(3):
-            for l in range(3):
+        for k in range(4):
+            for l in range(4):
                 assert schur_dim(lam, k, l) == schur_dim_by_enumeration(lam, k, l)
 
 
@@ -239,12 +239,17 @@ def test_hs_eval_against_weighted_enumeration():
         ((1, Fraction(-1, 6), 5), ()),
         ((), (Fraction(2, 5), 0, -1)),
         ((), (4, -2, Fraction(-7, 3))),
+        # The leading hook s_(1|1) of (2,2) vanishes here, so the
+        # determinant swaps rows (the value at (2,2) is 1).
+        ((-1, 1), (0,)),
+        ((Fraction(1, 2), Fraction(-1, 2)), (0,)),
     ]
     for lam in all_partitions_upto(5):
         for xs, ys in points:
             got = hs_eval(lam, xs, ys)
             assert isinstance(got, Fraction)
             assert got == _weighted_tableau_sum(lam, xs, ys), (lam, xs, ys)
+    assert hs_eval((2, 2), (-1, 1), (0,)) == 1
 
 
 def test_product_identity_small():

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from filteralg import linalg
-from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
+from filteralg.linalg import EchelonBasis, add_terms, dense_det, dense_rank, intify
 
 
 def test_add_terms_drops_cancelled_keys_in_place():
@@ -136,6 +137,48 @@ def test_dense_rank_edge_cases():
     assert dense_rank([[0, 0], [0, 0]]) == 0
     assert dense_rank([[2, 4], [1, 2], [1, 2]]) == 1
     assert dense_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def _leibniz_det(rows):
+    """The permutation sum: sign(p) * prod(rows[i][p[i]]) over all p."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        total += (-1) ** inversions * prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+@st.composite
+def _square_matrices(draw):
+    """Small square integer matrices; some made singular by a row that
+    combines two others, some with a zero leading pivot."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        s, t = draw(entry), draw(entry)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    if n and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@given(_square_matrices())
+def test_dense_det_matches_permutation_sum(rows):
+    saved = [list(r) for r in rows]
+    assert dense_det(rows) == _leibniz_det(rows)
+    assert rows == saved
+
+
+def test_dense_det_pivot_cases():
+    assert dense_det([]) == 1
+    # Zero pivots: leading, after one elimination step, and with no row
+    # to swap in.
+    assert dense_det([[0, 1], [-1, 0]]) == 1
+    assert dense_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+    assert dense_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert dense_det([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == -1
+    assert dense_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
 
 def _naive_reduced(basis, vec):
