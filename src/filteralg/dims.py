@@ -14,24 +14,20 @@ weakly down columns.  Three quantities are computed exactly here:
 
 ``schur_dim`` is the hook dimension of Berele and Regev ("Hook Young
 diagrams with applications to combinatorics and to representations of
-Lie superalgebras", Adv. Math. 1987).  A shape that covers the ``k x l``
-corner rectangle (every shape in the hook, when one alphabet is empty)
-factors into an unprimed arm, a primed leg and ``2^(k*l)`` for the
-corner.  Every other shape, and ``hs_eval`` at any point, goes through
-Giambelli's determinant over the Durfee square (Macdonald, *Symmetric
-Functions*, I.3 ex. 9 and 23), at most ``max(k, l)`` rows inside the
-hook.  The corner product stays because it is the cheaper route where
-the shape allows it: the determinant builds coefficient tables for each
-shape, and pricing the covering shapes with it too made ``dim_quotient``
-over the test catalog up to n = 30 about 1.5 times as slow.
+Lie superalgebras", Adv. Math. 1987).  It and ``hs_eval`` have one
+route: Giambelli's determinant over the Durfee square (Macdonald,
+*Symmetric Functions*, I.3 ex. 9 and 23), at most ``max(k, l)`` rows
+inside the hook.  Its coefficient tables are memoized per point and
+length, so the shapes at one ``(k, l)`` share them.
 
 The block dimension is ``_w_dim = _f_hook * _schur_dim`` for every
-shape.  The series layer prices the shapes that cover the corner by a
-formula of its own, ``k*l`` corner hooks per (arm, leg) pair, and the
-tests check it against this product.  The tests check these formulas
-against independent references in ``tests/reference.py``: a
-corner-removal recursion for ``f_lambda`` and a literal enumeration of
-the tableaux for ``schur_dim`` and ``hs_eval``.
+shape.  The series layer prices the shapes that cover the ``k x l``
+corner by the Berele--Regev corner factorization, ``k*l`` corner hooks
+per (arm, leg) pair, and the tests check it against the determinant of
+the whole shape.  The tests check these formulas against independent
+references in ``tests/reference.py``: a corner-removal recursion for
+``f_lambda`` and a literal enumeration of the tableaux for
+``schur_dim`` and ``hs_eval``.
 
 The public functions validate their arguments; the series layer calls
 the unchecked ``_w_dim`` on the shapes it generates itself.
@@ -72,27 +68,7 @@ def schur_dim(lam, k: int, l: int) -> int:
 def _schur_dim(lam: Partition, k: int, l: int) -> int:
     if not in_hook(lam, k, l):
         return 0
-    if k * l == 0 or (len(lam) >= k and lam[k - 1] >= l):
-        # The shape covers the k x l corner (always, when it is empty):
-        # unprimed arm, primed leg and the mixed corner contribute
-        # independently at the all-ones point.
-        conj = conjugate(lam)
-        alpha, beta = _arm(lam, k, l), _arm(conj, l, k)
-        return (_ssyt_count(alpha, k) * _ssyt_count(beta, l)) << (k * l)
     return _giambelli(lam, (1,) * k, (1,) * l)
-
-
-def _ssyt_count(mu: Partition, k: int) -> int:
-    """Semistandard tableaux of shape ``mu`` with entries at most ``k``."""
-    if len(mu) > k:
-        return 0
-    padded = mu + (0,) * (k - len(mu))
-    num = den = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            num *= padded[i] - padded[j] + j - i
-            den *= j - i
-    return num // den
 
 
 def w_dim(lam, k: int, l: int) -> int:
@@ -108,11 +84,6 @@ def _w_dim(lam: Partition, k: int, l: int) -> int:
     if not in_hook(lam, k, l):
         return 0
     return _f_hook(lam) * _schur_dim(lam, k, l)
-
-
-def _arm(lam: Partition, k: int, l: int) -> Partition:
-    """The first ``k`` rows of ``lam`` less ``l`` cells each."""
-    return tuple(p - l for p in lam[:k] if p > l)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +108,13 @@ def hs_eval(lam, xs: Sequence, ys: Sequence) -> Fraction:
     d = lcm(*(v.denominator for v in xs + ys))
     total = _giambelli(
         lam,
-        [x.numerator * (d // x.denominator) for x in xs],
-        [y.numerator * (d // y.denominator) for y in ys],
+        tuple(x.numerator * (d // x.denominator) for x in xs),
+        tuple(y.numerator * (d // y.denominator) for y in ys),
     )
     return Fraction(total, d ** sum(lam))
 
 
-def _giambelli(lam: Partition, xs: Sequence[int], ys: Sequence[int]) -> int:
+def _giambelli(lam: Partition, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
     """The tableau generating function of ``lam`` at an integer point.
 
     Giambelli's determinant of the hooks ``s_(a_i|b_j)`` over the Durfee
@@ -165,9 +136,13 @@ def _giambelli(lam: Partition, xs: Sequence[int], ys: Sequence[int]) -> int:
     )
 
 
-def _quotient_coefficients(num: Sequence[int], den: Sequence[int], length: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _quotient_coefficients(
+    num: tuple[int, ...], den: tuple[int, ...], length: int
+) -> tuple[int, ...]:
     """The first ``length`` coefficients of ``prod(1 + v t)`` over ``num``
-    divided by ``prod(1 - v t)`` over ``den``."""
+    divided by ``prod(1 - v t)`` over ``den``; one table per point and
+    length, shared by every shape that asks for it."""
     c = [1] + [0] * (length - 1)
     for v in num:
         for i in range(length - 1, 0, -1):
@@ -175,4 +150,4 @@ def _quotient_coefficients(num: Sequence[int], den: Sequence[int], length: int) 
     for v in den:
         for i in range(1, length):
             c[i] += v * c[i - 1]
-    return c
+    return tuple(c)

@@ -134,7 +134,9 @@ def _check_cap(basis: SuperBasis, n: int) -> None:
             raise ValueError(f"FILTERALG_DIM_CAP must be a positive integer, got {raw!r}")
     else:
         cap = DIM_CAP
-    if basis.dim**n > cap:
+    # dim**n >= 2**n > cap once n reaches cap's bit length: refuse a huge n
+    # without taking the power.
+    if (basis.dim >= 2 and n >= cap.bit_length()) or basis.dim**n > cap:
         raise CapExceeded(
             f"ambient dimension {basis.dim}**{n} exceeds cap {cap}"
         )

@@ -6,13 +6,15 @@ the ambient hook.  :func:`series` never enumerates a member.  It takes
 the thin non-members, those that do not cover the ``k x l`` corner,
 from one walk over the shapes that avoid the generators and the corner
 rectangle (the ambient rectangle is a generator, so the walk stays in
-the hook), and prices each with ``w_dim``.  The others it takes as
+the hook), and prices each with ``_w_dim``.  The others it takes as
 pairs of an arm and a leg, the two short partitions left when the
-corner is removed, from walks over arms and legs; each pair adds its
-block dimension from ``k*l`` corner hooks (the formula lives in
-:func:`_add_corner_shapes`), without building the shape.
-:func:`dim_quotient` prices the non-members of one size one by one with
-``_w_dim``, ``f_lambda * schur_dim``, and is the reference for it.
+corner is removed, from walks over arms and legs.  This module owns the
+Berele--Regev corner factorization: each pair adds its block dimension
+from ``k*l`` corner hooks and the one-alphabet weights
+``_w_dim(mu, m, 0)`` of its arm and leg (:func:`_add_corner_shapes`),
+without building the shape.  :func:`dim_quotient` prices the
+non-members of one size one by one with ``_w_dim``, which takes the
+determinant of the whole shape, and is the reference for it.
 Everything is exact integers; floats appear only in the final slope
 statistic of a growth report.
 """
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .dims import _arm, _f_hook, _ssyt_count, _w_dim
+from .dims import _w_dim
 from .filters import Filter
 from .partitions import (
     Partition,
@@ -77,7 +79,12 @@ def _corner_side(mu: Partition, m: int) -> CornerSide:
     """
     padded = mu + (0,) * (m - len(mu))
     offsets = tuple(p + m - 1 - i for i, p in enumerate(padded))
-    return sum(mu), _f_hook(mu) * _ssyt_count(mu, m), offsets
+    return sum(mu), _w_dim(mu, m, 0), offsets
+
+
+def _arm(lam: Partition, k: int, l: int) -> Partition:
+    """The first ``k`` rows of ``lam`` less ``l`` cells each."""
+    return tuple(p - l for p in lam[:k] if p > l)
 
 
 def _add_corner_shapes(
@@ -98,8 +105,8 @@ def _add_corner_shapes(
     inside the leg, so they are ``alpha``'s and ``beta``'s own hooks;
     only the corner cell ``(i, j)`` mixes, with hook ``alpha_i + beta_j
     + (k-i) + (l-j) - 1`` (0-indexed), one more than the sum of the two
-    :func:`_corner_side` offsets.  With the Berele--Regev factorisation of
-    ``schur_dim`` this gives
+    :func:`_corner_side` offsets.  With the Berele--Regev factorization
+    ``s_lam(1^k|1^l) = 2^(kl) s_alpha(1^k) s_beta(1^l)`` this gives
 
         w = |lam|! 2^(kl) w(alpha, k, 0) w(beta, l, 0)
             / (|alpha|! |beta|! prod(corner hooks)),

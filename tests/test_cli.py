@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import time
 from unittest import mock
 
 import pytest
@@ -186,6 +187,16 @@ def test_cap_exit_code(tmp_path, capsys):
     assert main(
         ["oracle", "identity", "--file", str(path), "--poly", "commutators:1", "--n", "13"]
     ) == 3
+
+
+def test_cap_refuses_a_huge_degree_without_the_power(capsys):
+    # 3**(10**7) has 15.8M bits and takes seconds to build; a degree past
+    # the cap's bit length is refused without taking the power.
+    start = time.perf_counter()
+    assert main(["oracle", "decompose", "--k", "2", "--l", "1", "--n", "10000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "3**10000000 exceeds cap" in err
 
 
 # Exit code, stdout and stderr of every subcommand in each format it

@@ -77,8 +77,8 @@ def test_schur_dim_against_enumeration():
 @pytest.mark.parametrize(
     "lam",
     [(4, 3), (3, 3, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (5, 1, 1, 1), (8,), (1,) * 8,
-     # thin shapes with long first rows: the bounded subshape sum, and at
-     # (2,3) its routing through the conjugate at (3,2)
+     # thin shapes with long first rows: a one-cell Durfee square whose
+     # hook reads the far ends of long coefficient tables
      (7, 1), (6, 1, 1, 1), (8, 1, 1)],
 )
 def test_schur_dim_against_enumeration_large(lam):
@@ -91,6 +91,20 @@ def test_schur_dim_duality():
         for k in range(4):
             for l in range(4):
                 assert schur_dim(lam, k, l) == schur_dim(conjugate(lam), l, k)
+
+
+@pytest.mark.parametrize("k", [7, 300, 1000])
+def test_schur_dim_against_hook_content_product(k):
+    # Stanley's hook-content formula, s_lam(1^k) = prod (k + c(x)) / h(x)
+    # over the cells x = (i, j), with content c = j - i.
+    for lam in [(3, 2), (5, 3, 1), (4, 4, 2, 1), (1,) * 7]:
+        conj = conjugate(lam)
+        value = Fraction(1)
+        for i, row in enumerate(lam):
+            for j in range(row):
+                value *= Fraction(k + j - i, row - j + conj[j] - i - 1)
+        assert schur_dim(lam, k, 0) == value, (lam, k)
+        assert schur_dim(conjugate(lam), 0, k) == value, (lam, k)
 
 
 def test_hook_decomposition_sums():
@@ -115,7 +129,8 @@ def test_hook_character_sum():
 
 def test_w_dim_against_recursion_and_enumeration():
     # |lam| <= 9 is the first size at which every ambient up to (3,3) has
-    # shapes covering its corner, which take the arm/leg/corner kernel.
+    # shapes covering its corner, which the series layer prices by arm,
+    # leg and corner hooks; here the determinant alone prices them.
     for lam in all_partitions_upto(9):
         f = f_lambda_by_recursion(lam)
         for k in range(4):

@@ -52,9 +52,14 @@ def test_series_symmetric_times_wedge():
     assert s.values == (1, 2, 2, 2, 2)
 
 
-def test_series_wedge_of_plane():
-    s = series(Filter([(2,)], (2, 0)), 4)
-    assert s.values == (1, 2, 1, 0, 0)
+@pytest.mark.parametrize("k", [2, 300])
+def test_series_wedge_of_plane(k):
+    # The exterior and symmetric algebras of a k-dimensional V; at k = 2
+    # the exterior one is (1, 2, 1, 0, 0).
+    wedge = series(Filter([(2,)], (k, 0)), 4)
+    assert wedge.values == tuple(math.comb(k, n) for n in range(5))
+    sym = series(Filter([(1, 1)], (k, 0)), 4)
+    assert sym.values == tuple(math.comb(n + k - 1, n) for n in range(5))
 
 
 def test_series_against_oracle_dimensions():
