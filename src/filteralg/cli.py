@@ -151,15 +151,13 @@ def _cmd_oracle_decompose(args) -> Result:
     return _verdict(ok, payload, lines + [f"total={total} expected={expected_total}"])
 
 
-def _filter_with_basis(path: str, action: str) -> tuple[Filter, SuperBasis]:
+def _filter_with_basis(path: str) -> tuple[Filter, SuperBasis]:
     filt = Filter.load(path)
-    if filt.ambient is None:
-        raise ValueError(f"filter file must set k and l for {action}")
-    return filt, SuperBasis(*filt.ambient)
+    return filt, SuperBasis(*filt._require_ambient())
 
 
 def _cmd_oracle_check_ideal(args) -> Result:
-    filt, basis = _filter_with_basis(args.file, "check-ideal")
+    filt, basis = _filter_with_basis(args.file)
     members = [
         lam
         for n in range(args.n_max + 1)
@@ -171,7 +169,7 @@ def _cmd_oracle_check_ideal(args) -> Result:
 
 
 def _cmd_oracle_identity(args) -> Result:
-    filt, basis = _filter_with_basis(args.file, "identity")
+    filt, basis = _filter_with_basis(args.file)
     # Above degree --n no substitution of total degree n exists.
     g = named_poly(args.poly, max_degree=args.n)
     ok = evaluate_identity(g, filt, basis, args.n)

@@ -17,8 +17,9 @@ diagrams with applications to combinatorics and to representations of
 Lie superalgebras", Adv. Math. 1987).  It and ``hs_eval`` have one
 route: Giambelli's determinant over the Durfee square (Macdonald,
 *Symmetric Functions*, I.3 ex. 9 and 23), at most ``max(k, l)`` rows
-inside the hook.  Its coefficient tables are memoized per point and
-length, so the shapes at one ``(k, l)`` share them.
+inside the hook.  Its coefficient tables at the all-ones point are
+memoized per length, so the shapes at one ``(k, l)`` share them; the
+tables of any other point are built for the call and dropped.
 
 The block dimension is ``_w_dim = _f_hook * _schur_dim`` for every
 shape.  The series layer prices the shapes that cover the ``k x l``
@@ -128,21 +129,20 @@ def _giambelli(lam: Partition, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
     arms = [p - i - 1 for i, p in enumerate(lam[:durfee])]
     legs = [p - j - 1 for j, p in enumerate(conjugate(lam)[:durfee])]
     length = lam[0] + len(lam) if lam else 0
-    h = _quotient_coefficients(ys, xs, length)
-    e = _quotient_coefficients(xs, ys, length)
+    table = _unit_coefficients if set(xs + ys) <= {1} else _quotient_coefficients
+    h = table(ys, xs, length)
+    e = table(xs, ys, length)
     return dense_det(
         [[sum((-1) ** j * h[a + 1 + j] * e[b - j] for j in range(b + 1)) for b in legs]
          for a in arms]
     )
 
 
-@lru_cache(maxsize=None)
 def _quotient_coefficients(
     num: tuple[int, ...], den: tuple[int, ...], length: int
 ) -> tuple[int, ...]:
     """The first ``length`` coefficients of ``prod(1 + v t)`` over ``num``
-    divided by ``prod(1 - v t)`` over ``den``; one table per point and
-    length, shared by every shape that asks for it."""
+    divided by ``prod(1 - v t)`` over ``den``."""
     c = [1] + [0] * (length - 1)
     for v in num:
         for i in range(length - 1, 0, -1):
@@ -151,3 +151,8 @@ def _quotient_coefficients(
         for i in range(1, length):
             c[i] += v * c[i - 1]
     return tuple(c)
+
+
+# The all-ones tables price every dimension, so they are kept per length
+# and alphabet; a table at any other point is built for its one call.
+_unit_coefficients = lru_cache(maxsize=None)(_quotient_coefficients)

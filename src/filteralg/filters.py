@@ -5,12 +5,15 @@ generator.  Generators are normalized to the antichain of
 containment-minimal elements, so equal filters compare equal.  With an
 ``ambient=(k, l)`` the ``(k+1) x (l+1)`` rectangle is adjoined as a free
 generator: every shape containing it indexes a zero block of the tensor
-power, so the quotient algebra is unchanged.
+power, so the quotient algebra is unchanged.  A filter is a frozen
+dataclass, normalized on construction, and :meth:`Filter._require_ambient`
+is the one check that a graded operation has an ambient to work in.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .partitions import (
@@ -20,7 +23,6 @@ from .partitions import (
     check_size,
     contains,
     enumerate_avoiding,
-    hook_rectangle,
 )
 
 
@@ -38,17 +40,16 @@ def _minimal_antichain(gens: Iterable[Partition]) -> tuple[Partition, ...]:
     return tuple(keep)
 
 
+@dataclass(frozen=True, slots=True)
 class Filter:
     """An upward-closed set of partitions with optional graded ambient."""
 
-    __slots__ = ("generators", "ambient")
+    generators: tuple[Partition, ...] = ()
+    ambient: Optional[tuple[int, int]] = None
 
-    def __init__(
-        self,
-        generators: Iterable = (),
-        ambient: Optional[tuple[int, int]] = None,
-    ):
-        gens = [check_partition(g) for g in generators]
+    def __post_init__(self):
+        gens = [check_partition(g) for g in self.generators]
+        ambient = self.ambient
         if ambient is not None:
             try:
                 k, l = ambient
@@ -62,25 +63,10 @@ class Filter:
         object.__setattr__(self, "generators", _minimal_antichain(gens))
         object.__setattr__(self, "ambient", ambient)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Filter instances are immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Filter)
-            and self.generators == other.generators
-            and self.ambient == other.ambient
-        )
-
-    def __hash__(self):
-        return hash((self.generators, self.ambient))
-
-    def __repr__(self):
-        return f"Filter(generators={list(self.generators)!r}, ambient={self.ambient!r})"
-
     def _require_ambient(self) -> tuple[int, int]:
+        """The ambient ``(k, l)``; the one check every graded operation makes."""
         if self.ambient is None:
-            raise ValueError("this operation requires an ambient (k, l)")
+            raise ValueError("this needs a filter with an ambient: give k and l")
         return self.ambient
 
     # -- membership and set structure --------------------------------------
@@ -159,22 +145,36 @@ class Filter:
         return min(candidates, default=None)
 
     def is_pi_super(self) -> Optional[int]:
-        """Least ``b >= 2`` with ``(b,b)``, ``(b,1^(b-1))`` and ``(2^b)`` all members."""
+        """Least ``b >= 2`` with ``(b,b)``, ``(b,1^(b-1))`` and ``(2^b)`` all members.
+
+        Each of the three shapes grows with ``b``, so each condition
+        holds from some ``b`` on: the least, over the generators ``g``
+        it can contain at all, of the ``b`` from which it contains ``g``.
+
+        * The square ``(b,b)`` contains ``g`` exactly when ``g`` has at
+          most two rows, each of length at most ``b``: from ``b = g_1``.
+        * The hook ``(b,1^(b-1))`` contains ``g`` exactly when ``g_2 <=
+          1`` and ``g`` fits in its first row and column: from ``b =
+          max(g_1, len g)``.
+        * The column ``(2^b)`` contains ``g`` exactly when ``g_1 <= 2``
+          and ``g`` has at most ``b`` rows: from ``b = len g``.
+
+        The answer is the largest of 2 and the three thresholds, and
+        ``None`` when some shape contains no generator for any ``b``.
+        """
         self._require_ambient()
-        gens = self.generators
-        has_square = any(len(mu) <= 2 for mu in gens)
-        has_hook = any((mu[1] if len(mu) > 1 else 0) <= 1 for mu in gens)
-        has_column = any((mu[0] if mu else 0) <= 2 for mu in gens)
-        if not (has_square and has_hook and has_column):
+        square, hook, column = [], [], []
+        for mu in self.generators:
+            first, second = (mu + (0, 0))[:2]
+            if len(mu) <= 2:
+                square.append(first)
+            if second <= 1:
+                hook.append(max(first, len(mu)))
+            if first <= 2:
+                column.append(len(mu))
+        if not (square and hook and column):
             return None
-        b = 2
-        while not (
-            self.member(hook_rectangle(2, 0, b))
-            and self.member(hook_rectangle(1, 1, b))
-            and self.member(hook_rectangle(0, 2, b))
-        ):
-            b += 1
-        return b
+        return max(2, min(square), min(hook), min(column))
 
     def nilpotency_bound(self) -> Optional[int]:
         """Least ``N`` with the complement empty at every size ``>= N``.

@@ -147,6 +147,7 @@ def _check_cap(basis: SuperBasis, n: int) -> None:
 
 
 def perm_sign(p: Perm) -> int:
+    """``(-1)`` to the number of inversions of a sequence of distinct values."""
     n = len(p)
     inv = sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
     return -1 if inv & 1 else 1
@@ -157,14 +158,10 @@ def f_I(sigma: Perm, odd: Iterable[int]) -> int:
 
     ``odd`` is a set of values in ``1..d``; the result is ``(-1)`` to the
     number of pairs ``p < q`` with ``sigma(p), sigma(q)`` both marked and
-    ``sigma(p) > sigma(q)``.
+    ``sigma(p) > sigma(q)``: the sign of the marked subsequence.
     """
     marked = frozenset(odd)
-    seq = [s for s in sigma if s in marked]
-    inv = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inv & 1 else 1
+    return perm_sign(tuple(s for s in sigma if s in marked))
 
 
 def star_word(word: Word, sigma: Perm, basis: SuperBasis) -> tuple[int, Word]:
@@ -570,14 +567,6 @@ def free_var(i: int) -> dict:
     return {(i,): 1}
 
 
-def free_add(a: dict, b: dict) -> dict:
-    return add_terms(dict(a), b.items())
-
-
-def free_scale(a: dict, s) -> dict:
-    return {w: c * s for w, c in a.items()} if s else {}
-
-
 def free_mul(a: dict, b: dict) -> dict:
     return add_terms(
         {}, ((wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items())
@@ -585,7 +574,7 @@ def free_mul(a: dict, b: dict) -> dict:
 
 
 def free_commutator(a: dict, b: dict) -> dict:
-    return free_add(free_mul(a, b), free_scale(free_mul(b, a), -1))
+    return add_terms(free_mul(a, b), ((w, -c) for w, c in free_mul(b, a).items()))
 
 
 def multilinear_from_free(poly: dict, d: int) -> MultilinearPoly:

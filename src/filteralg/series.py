@@ -38,9 +38,7 @@ from .partitions import (
 
 def dim_quotient(omega: Filter, n: int) -> int:
     """Dimension of the degree-``n`` slice of the quotient algebra."""
-    if omega.ambient is None:
-        raise ValueError("dim_quotient requires an ambient (k, l)")
-    k, l = omega.ambient
+    k, l = omega._require_ambient()
     return sum(_w_dim(lam, k, l) for lam in omega.complement_at(n))
 
 
@@ -54,10 +52,8 @@ class DimensionSeries:
 
 def series(omega: Filter, n_max: int) -> DimensionSeries:
     """The sequence ``d_0 .. d_{n_max}``: thin shapes, then arm/leg pairs."""
-    if omega.ambient is None:
-        raise ValueError("series requires an ambient (k, l)")
+    k, l = omega._require_ambient()
     n_max = check_size(n_max, "n_max")
-    k, l = omega.ambient
     values = [0] * (n_max + 1)
     corner = (l,) * k if l else ()
     for lam in enumerate_avoiding(omega.generators + (corner,), n_max):
@@ -178,9 +174,7 @@ def verify_growth(omega: Filter, n_max: int) -> GrowthReport:
       ``log(alpha)`` within 15 percent, which absorbs the polynomial
       factor in front of ``alpha^n`` at moderate ``N``.
     """
-    if omega.ambient is None:
-        raise ValueError("verify_growth requires an ambient (k, l)")
-    k, l = omega.ambient
+    k, l = omega._require_ambient()
     alpha = omega.exp_growth()
     ser = series(omega, n_max)
     d_last = ser.values[-1]

@@ -224,6 +224,21 @@ def test_hs_eval_at_ones_counts_tableaux():
                 assert hs_eval(lam, (1,) * k, (1,) * l) == schur_dim(lam, k, l)
 
 
+def test_hs_eval_keeps_no_table_per_point():
+    # Only the all-ones tables, which every dimension reuses, stay cached.
+    memoized = [f for f in vars(dims).values() if hasattr(f, "cache_info")]
+
+    def retained():
+        return sum(f.cache_info().currsize for f in memoized)
+
+    hs_eval((4, 2, 1), (1, 1), (1,))
+    before = retained()
+    for i in range(2, 60):
+        assert hs_eval((4, 2, 1), (Fraction(1, i), 2), (i,)) != 0
+    hs_eval((4, 2, 1), (1, 1), (1,))
+    assert retained() == before
+
+
 def _weighted_tableau_sum(lam, xs, ys):
     k = len(xs)
     total = Fraction(0)

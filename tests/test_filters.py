@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from filteralg.filters import Filter, classical_identity_degree
 from filteralg.partitions import contains, enumerate_partitions
@@ -14,8 +14,8 @@ def all_partitions_upto(n_max):
 
 
 @st.composite
-def generator_sets(draw):
-    count = draw(st.integers(min_value=1, max_value=5))
+def generator_sets(draw, max_count=5):
+    count = draw(st.integers(min_value=1, max_value=max_count))
     gens = []
     for _ in range(count):
         n = draw(st.integers(min_value=0, max_value=8))
@@ -82,6 +82,19 @@ def test_ambient_must_be_a_pair(ambient):
 
 def test_ambient_pair_may_be_any_sequence():
     assert Filter([(2,)], [1, 1]) == Filter([(2,)], (1, 1))
+
+
+def test_filter_is_an_immutable_value():
+    f = Filter([(3,), (2,)], (1, 1))
+    with pytest.raises(AttributeError):
+        f.generators = ((1,),)
+    with pytest.raises(AttributeError):
+        f.ambient = (2, 0)
+    assert f == Filter([(2,)], (1, 1))
+    assert hash(f) == hash(Filter([(2,)], (1, 1)))
+    assert len({f, Filter([(2,)], (1, 1)), Filter([(2,)], [1, 1])}) == 1
+    assert f != Filter([(2,)], (2, 0))
+    assert f != Filter([(2,)])
 
 
 def test_union():
@@ -195,11 +208,12 @@ def test_is_pi_super_examples():
 def test_is_pi_super_matches_direct_search(catalog):
     from filteralg.partitions import hook_rectangle
 
-    for f in catalog:
+    def check(f):
+        # No threshold exceeds the largest generator's size.
         direct = next(
             (
                 b
-                for b in range(2, 14)
+                for b in range(2, 3 + max(map(sum, f.generators)))
                 if f.member(hook_rectangle(2, 0, b))
                 and f.member(hook_rectangle(1, 1, b))
                 and f.member(hook_rectangle(0, 2, b))
@@ -207,6 +221,16 @@ def test_is_pi_super_matches_direct_search(catalog):
             None,
         )
         assert f.is_pi_super() == direct, f
+
+    for f in catalog:
+        check(f)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generator_sets(max_count=4), st.integers(0, 4), st.integers(0, 4))
+    def check_random(gens, k, l):
+        check(Filter(gens, (k, l)))
+
+    check_random()
 
 
 def test_pi_iff_low_growth(catalog):
