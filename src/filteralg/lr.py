@@ -12,7 +12,10 @@ its ``j-1``'s, the lattice condition is the prefix bound "``j``'s in
 rows ``<= r`` are at most the ``j-1``'s in rows ``< r``".  A strip
 therefore depends only on the shape so far and the previous letter's
 row counts, and the generation carries ``(shape, prefix counts) ->
-number of fillings`` from letter to letter, merging equal states.  Since
+number of fillings`` from letter to letter, merging equal states.  Each
+letter is one loop over the rows, carrying the partial strips; the rows
+the lattice bound keeps empty are copied, and the last letter adds its
+fillings straight into the terms, keyed by shape alone.  Since
 ``c^nu_{mu,lam} = c^nu_{lam,mu} = c^{nu'}_{mu',lam'}`` (Macdonald I.5),
 the generation runs on the cheapest of ``(mu, lam)``, ``(lam, mu)``,
 ``(mu', lam')`` and ``(lam', mu')``: the content with the fewest rows
@@ -77,75 +80,63 @@ def _orient(mu: Partition, lam: Partition) -> tuple[Partition, Partition, bool]:
     return conjugate(mu), conjugate(lam), True
 
 
-def _strips(
-    shape: Partition,
-    size: int,
-    bound: tuple[int, ...] | None,
-    nu: Partition | None,
-) -> list[tuple[Partition, tuple[int, ...]]]:
-    """Horizontal strips of ``size`` cells added to ``shape``.
-
-    Returns ``(new shape, prefix counts)`` pairs, where ``prefix[r]`` is
-    the number of added cells in rows ``<= r``, over the rows of the new
-    shape.  With a ``bound`` (the previous letter's prefix counts),
-    ``prefix[r]`` may not exceed ``bound[r-1]``: nothing goes in row 0,
-    and past the end of ``bound`` its last entry holds.  With ``nu``
-    (containing ``shape``), the new shape stays inside ``nu``.
-    """
-    rows = len(shape) + 1
-    old = shape + (0,)
-    # Cells row r may take, and the prefix count rows <= r may reach.
-    room = [size] + [old[r - 1] - old[r] for r in range(1, rows)]
-    if nu is not None:
-        room = [min(room[r], nu[r] - old[r]) if r < len(nu) else 0 for r in range(rows)]
-    if bound is None:
-        cap = [size] * rows
-    else:
-        cap = [0] + [bound[min(r, len(bound)) - 1] for r in range(1, rows)]
-    # Cells that rows >= r can still take, for pruning.
-    tail = [0] * (rows + 1)
-    for r in range(rows - 1, -1, -1):
-        tail[r] = tail[r + 1] + room[r]
-    new = list(old)
-    prefix = [0] * rows
-    out: list[tuple[Partition, tuple[int, ...]]] = []
-
-    def place(r: int, done: int) -> None:
-        if done == size:
-            grown = tuple(new[:r]) + shape[r:]
-            out.append((grown, tuple(prefix[:r]) + (size,) * (len(grown) - r)))
-            return
-        left = size - done
-        if tail[r] < left:
-            return
-        hi = min(room[r], left, cap[r] - done)
-        for a in range(hi, max(0, left - tail[r + 1]) - 1, -1):
-            new[r] = old[r] + a
-            prefix[r] = done + a
-            place(r + 1, done + a)
-        new[r] = old[r]
-
-    place(0, 0)
-    return out
-
-
 def _generate(mu: Partition, lam: Partition, nu: Partition | None) -> dict[Partition, int]:
     """Shapes reached from ``mu`` by the lattice strips of content ``lam``.
 
     Maps each shape to its number of fillings, i.e. its coefficient.
     With ``nu`` (containing ``mu``), only shapes inside ``nu`` are kept.
     """
-    states: dict[tuple[Partition, tuple[int, ...] | None], int] = {(mu, None): 1}
-    for size in lam:
-        nxt: dict[tuple[Partition, tuple[int, ...] | None], int] = {}
+    if not lam:
+        return {mu: 1}
+    # (shape, prefix counts) -> fillings; the last letter keys by shape.
+    states: dict = {(mu, ()): 1}
+    for letter, size in enumerate(lam):
+        carry = letter < len(lam) - 1
+        out: dict = {}
         for (shape, bound), mult in states.items():
-            for state in _strips(shape, size, bound, nu):
-                nxt[state] = nxt.get(state, 0) + mult
-        states = nxt
-    terms: dict[Partition, int] = {}
-    for (shape, _), mult in states.items():
-        terms[shape] = terms.get(shape, 0) + mult
-    return terms
+            old = shape + (0,)
+            # bound covers shape's rows and its zeros lead: rows up to the
+            # previous letter's first one take no cell and are copied.
+            first = bound.count(0) + 1 if bound else 0
+            # Rows from first on, bottom up: (row, part, cells it may take,
+            # prefix count it may reach, cells the rows below may take).
+            plan = []
+            below = 0
+            for r in range(len(shape), first - 1, -1):
+                room = old[r - 1] - old[r] if r else size
+                if nu is not None:
+                    room = min(room, nu[r] - old[r]) if r < len(nu) else 0
+                plan.append((r, old[r], room, bound[r - 1] if bound else size, below))
+                below += room
+            # Partial strips: (cells placed, grown rows, prefix counts).
+            partial = [(0, shape[:first], (0,) * first)]
+            for r, o, room, cap, below in reversed(plan):
+                grew = []
+                for done, grown, prefix in partial:
+                    # The bounds on a, without min/max calls in the hot loop.
+                    left = size - done
+                    hi = cap - done
+                    if room < hi:
+                        hi = room
+                    if left < hi:
+                        hi = left
+                    lo = left - below
+                    if lo < 0:
+                        lo = 0
+                    for a in range(hi, lo - 1, -1):
+                        d = done + a
+                        if d < size:
+                            grew.append((d, grown + (o + a,), prefix + (d,) if carry else ()))
+                            continue
+                        key = grown + (o + a,) + shape[r + 1 :]
+                        if carry:
+                            key = (key, prefix + (size,) * (len(key) - r))
+                        out[key] = out.get(key, 0) + mult
+                if not grew:
+                    break
+                partial = grew
+        states = out
+    return states
 
 
 def outer_product(mu, lam) -> LRExpansion:

@@ -236,6 +236,31 @@ def test_dimension_identity():
             assert lhs == rhs, (mu, lam)
 
 
+_SHAPES_8_TO_10 = [lam for n in (8, 9, 10) for lam in enumerate_partitions(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(_SHAPES_8_TO_10), st.sampled_from(_SHAPES_8_TO_10))
+@example((8,), (1,) * 10)
+@example((4, 3, 2, 1), (4, 3, 2, 1))
+def test_products_at_benchmark_sizes(mu, lam):
+    # The sizes of the benchmark's products, past the enumerator's reach:
+    # the degree count, containment, both symmetries, and the nu-bounded
+    # route of lr_coefficient on a few terms of each expansion.
+    exp = outer_product(mu, lam)
+    n = sum(mu) + sum(lam)
+    assert exp.degree == n
+    total = sum(c * f_lambda(nu) for nu, c in exp.terms.items())
+    assert total == comb(n, sum(mu)) * f_lambda(mu) * f_lambda(lam)
+    assert all(c > 0 and contains(mu, nu) and contains(lam, nu) for nu, c in exp.terms.items())
+    assert list(outer_product(lam, mu).terms.items()) == list(exp.terms.items())
+    conj = outer_product(conjugate(mu), conjugate(lam)).terms
+    assert conj == {conjugate(nu): c for nu, c in exp.terms.items()}
+    terms = list(exp.terms.items())
+    for nu, c in terms[:: max(1, len(terms) // 4)]:
+        assert lr_coefficient(mu, lam, nu) == c, (mu, lam, nu)
+
+
 def test_some_factor_always_reaches_a_supershape():
     # for every nested pair mu inside nu there is a complementary shape
     # whose product with mu hits nu
