@@ -37,12 +37,11 @@ symmetrizers that the tests check :func:`module_W` against live in
 ``tests/reference.py``.
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
-blocks of positions) is taken one orbit of ``G`` on words at a time
-(:func:`_orbit_sums`) instead of by listing ``G``.  :func:`module_W`
-does so for the larger of a tableau's row and column groups and lists
-the smaller; its seeding work is at most ``(k+l)^n`` times the order of
-the smaller group, so ``DIM_CAP`` bounds it as well, and the seeds'
-standard-tableau translates give the block in ``dim W`` inserts.  With
+blocks of positions) runs over an orbit of ``G`` on words, one carrying
+permutation per word, instead of listing ``G``.  :func:`module_W` does
+so for the larger of a tableau's row and column groups, on the orbits of
+the shape's semistandard fillings, and lists the smaller; the orbits are
+disjoint, so ``DIM_CAP`` bounds its seeding work as well.  With
 ``G = S_n``, :func:`check_annihilation` does one twisted action per
 term of the value and sign.
 
@@ -305,20 +304,17 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     generate the same two-sided ideal of the group algebra, so the
     canonical echelon rows do not depend on the choice.
 
-    *Seeds.*  ``V^n * x`` is spanned by ``w * x`` over the words ``w``,
-    and the symmetrizer is never expanded.  Since the action is a right
-    action, ``w * x`` is two passes: the larger group ``G`` first, then
-    the smaller group ``H``.  Words in one ``G``-orbit give the same
-    ``w * G`` up to sign, so there is one seed per orbit, i.e. per
-    choice of letter multiset in each block of ``G``, and ``w * G`` is a
-    sum over the seed's distinct rearrangements times the order of its
-    stabiliser.  The stabiliser cancels the seed outright when a row
-    block repeats an odd letter (``G = R``) or a column block repeats an
-    even letter (``G = C``); such orbits are skipped, and so are the
-    terms of ``w * G`` that ``H`` cancels by the same rule.  The seeding
-    therefore costs at most ``(k+l)^n`` twisted actions for the first
-    pass and ``(k+l)^n * |H|`` for the second, so the cap on the ambient
-    dimension ``(k+l)^n`` bounds the work as well.
+    *Seeds.*  ``V^n * x`` has dimension ``s_lambda(k|l)``, and the
+    ``w * x`` span it, ``w`` running over the row readings of the
+    ``(k,l)``-semistandard fillings (Berele-Regev).  The action is a
+    right action, so ``w * x`` is two passes: the larger group ``G``,
+    then the smaller ``H``.  ``w * G`` is the sum over the distinct
+    rearrangements of ``w`` in the blocks of ``G``, times the order of its
+    stabiliser, which no semistandard ``w`` makes cancel (:func:`_killed`);
+    the terms that ``H`` cancels by the same rule are dropped.  The orbits
+    are disjoint, so the passes cost at most ``(k+l)^n`` and
+    ``(k+l)^n * |H|`` twisted actions.  A seed that does not grow the
+    seed span raises ``AssertionError``.
 
     *Translates.*  ``x * Q[S_n]`` has the basis ``x * sigma_S``, one per
     standard tableau ``S`` (the standard basis of the Specht module),
@@ -347,13 +343,17 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     rows_first = _group_order(rows) >= _group_order(cols)
     first, second = (rows, cols) if rows_first else (cols, rows)
     second_sum = _group_sum(second, n, signed=rows_first)
+    fillings = _super_tableaux(lam, k, l)
     seeds = EchelonBasis()
-    for seed, orbit_sum in _orbit_sums(basis.words(n), first, basis, not rows_first):
+    for seed in fillings:
+        orbit_sum = {p: 1 if rows_first else perm_sign(p) for p in _carriers(seed, first)}
         v = star_group_algebra({seed: 1}, orbit_sum, basis)
         v = {w: c for w, c in v.items() if not _killed(w, second, rows_first, basis)}
-        v = star_group_algebra(v, second_sum, basis)
-        if v:
-            seeds.insert(v)
+        seeds.insert(star_group_algebra(v, second_sum, basis))
+    if seeds.dim != len(fillings):
+        raise AssertionError(
+            f"{len(fillings)} semistandard seeds of {lam} span {seeds.dim} dimensions"
+        )
     seed_rows = seeds.rows()
     block = EchelonBasis()
     for filling in _standard_tableaux(lam):
@@ -402,6 +402,58 @@ def _orbit_sums(
             p = _carrying(seed, w, blocks)
             element[p] = perm_sign(p) if signed else 1
         yield seed, element
+
+
+def _super_tableaux(lam: Partition, k: int, l: int) -> list[Word]:
+    """Row readings of the ``(k,l)``-semistandard fillings, in lex order.
+
+    Unprimed letters ``1..k`` increase weakly along rows and strictly down
+    columns, primed ones ``k+1..k+l`` the other way round.  Cells fill in
+    row-major order.
+    """
+    top = k + l + 1
+    words: list[Word] = [()]
+    start = 0
+    for r, p in enumerate(lam):
+        above = start - lam[r - 1] if r else 0
+        for c in range(p):
+            grown = []
+            for w in words:
+                lo = 1
+                if c:
+                    left = w[start + c - 1]
+                    lo = left + (left > k)
+                if r:
+                    up = w[above + c]
+                    lo = max(lo, up + (up <= k))
+                grown.extend(w + (v,) for v in range(lo, top))
+            words = grown
+        start += p
+    return words
+
+
+def _carriers(seed: Word, blocks: Sequence[Sequence[int]]) -> Iterator[Perm]:
+    """A carrying permutation (:func:`_carrying`) per distinct
+    rearrangement of ``seed`` inside the blocks, chosen letter by letter."""
+    per_block = []
+    for block in blocks:
+        sources: dict = {}
+        for pos in block:
+            sources.setdefault(seed[pos - 1], []).append(pos)
+        moves = [(tuple(block), ())]
+        for src in sources.values():
+            moves = [
+                (tuple(p for p in free if p not in chosen), pairs + tuple(zip(chosen, src)))
+                for free, pairs in moves
+                for chosen in combinations(free, len(src))
+            ]
+        per_block.append([pairs for _, pairs in moves])
+    for choice in product(*per_block):
+        img = [0] * len(seed)
+        for pairs in choice:
+            for pos, src in pairs:
+                img[pos - 1] = src
+        yield tuple(img)
 
 
 def _killed(

@@ -2,7 +2,7 @@
 
 Each one computes a quantity the package also computes, by a route that
 shares none of the package's shortcuts: standard tableaux by corner
-removal, ``(k,l)``-semistandard tableaux by listing them,
+removal, ``(k,l)``-semistandard tableaux by counting the oracle's list,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
 listing their groups, membership in an ideal slice by echelon
 reduction against the span of the member blocks, and the size of a
@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from filteralg import oracle
 from filteralg.linalg import add_terms
@@ -31,6 +31,7 @@ from filteralg.oracle import (
     _group_order,
     _group_sum,
     _substitute,
+    _super_tableaux,
     _tableau_blocks,
     _terms,
     ideal_subspace,
@@ -67,46 +68,10 @@ def _f_rec(lam: Partition) -> int:
     return total
 
 
-def iter_super_tableaux(lam, k: int, l: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every ``(k,l)``-semistandard filling of ``lam``.
-
-    Entries are encoded as integers: ``1..k`` unprimed, ``k+1..k+l``
-    primed.  Intended for small shapes; this is the brute-force oracle
-    behind the fast counting path.
-    """
-    lam = check_partition(lam)
-    rows = len(lam)
-    grid = [[0] * r for r in lam]
-    cells = [(r, c) for r in range(rows) for c in range(lam[r])]
-
-    def ok(r: int, c: int, v: int) -> bool:
-        if c > 0:
-            left = grid[r][c - 1]
-            if v < left or (v == left and v > k):
-                return False
-        if r > 0 and c < lam[r - 1]:
-            above = grid[r - 1][c]
-            if v < above or (v == above and v <= k):
-                return False
-        return True
-
-    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in grid)
-            return
-        r, c = cells[idx]
-        for v in range(1, k + l + 1):
-            if ok(r, c, v):
-                grid[r][c] = v
-                yield from fill(idx + 1)
-        grid[r][c] = 0
-
-    yield from fill(0)
-
-
 def schur_dim_by_enumeration(lam, k: int, l: int) -> int:
-    """Independent oracle for ``schur_dim``: literally count the tableaux."""
-    return sum(1 for _ in iter_super_tableaux(lam, k, l))
+    """Independent oracle for ``schur_dim``: literally count the tableaux
+    that seed :func:`filteralg.oracle.module_W`."""
+    return len(_super_tableaux(check_partition(lam), k, l))
 
 
 def count_lr_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:

@@ -7,9 +7,9 @@ from filteralg import dims
 from filteralg.dims import f_lambda, hs_eval, schur_dim, w_dim
 from filteralg.filters import Filter
 from filteralg.lr import lr_coefficient, outer_product
-from filteralg.oracle import SuperBasis
+from filteralg.oracle import SuperBasis, _super_tableaux
 from filteralg.partitions import check_alphabet, conjugate, enumerate_partitions, in_hook
-from reference import f_lambda_by_recursion, iter_super_tableaux, schur_dim_by_enumeration
+from reference import f_lambda_by_recursion, schur_dim_by_enumeration
 
 
 def all_partitions_upto(n_max):
@@ -242,11 +242,10 @@ def test_hs_eval_keeps_no_table_per_point():
 def _weighted_tableau_sum(lam, xs, ys):
     k = len(xs)
     total = Fraction(0)
-    for tab in iter_super_tableaux(lam, k, len(ys)):
+    for word in _super_tableaux(lam, k, len(ys)):
         weight = Fraction(1)
-        for row in tab:
-            for v in row:
-                weight *= xs[v - 1] if v <= k else ys[v - k - 1]
+        for v in word:
+            weight *= xs[v - 1] if v <= k else ys[v - k - 1]
         total += weight
     return total
 

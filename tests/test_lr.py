@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from filteralg import lr
 from filteralg.dims import f_lambda
 from filteralg.lr import _generate, lr_coefficient, outer_product
+from filteralg.oracle import _super_tableaux
 from filteralg.partitions import conjugate, contains, enumerate_partitions
-from reference import count_lr_fillings, iter_super_tableaux
+from reference import count_lr_fillings
 
 
 def all_partitions_upto(n_max):
@@ -24,11 +25,10 @@ def schur_monomials(lam, nvars):
     key = (lam, nvars)
     if key not in _schur_cache:
         out = {}
-        for tab in iter_super_tableaux(lam, nvars, 0):
+        for word in _super_tableaux(lam, nvars, 0):
             exp = [0] * nvars
-            for row in tab:
-                for v in row:
-                    exp[v - 1] += 1
+            for v in word:
+                exp[v - 1] += 1
             k = tuple(exp)
             out[k] = out.get(k, 0) + 1
         _schur_cache[key] = out

@@ -8,8 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filteralg.dims import f_lambda, w_dim
+from filteralg.dims import f_lambda, schur_dim, w_dim
 from filteralg.filters import Filter
+from filteralg.linalg import EchelonBasis
 from filteralg.oracle import (
     DEGREE_CAP,
     CapExceeded,
@@ -321,19 +322,23 @@ def test_module_matches_expanded_symmetrizer(inputs):
 )
 def test_cap_bounds_module_work(lam, kl, monkeypatch):
     # An expanded symmetrizer would apply all 12! permutations to each word.
+    # Every twisted action goes through star_group_algebra, which applies
+    # each permutation of the element to each word of the vector.
     from filteralg import oracle
 
-    calls = 0
+    terms = 0
+    star = oracle.star_group_algebra
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        assert calls <= 200_000, "module_W work is not bounded by the ambient"
-        return star_word(*args)
+    def counted(vec, element, basis):
+        nonlocal terms
+        terms += len(vec) * len(element)
+        assert terms <= 200_000, "module_W work is not bounded by the ambient"
+        return star(vec, element, basis)
 
-    monkeypatch.setattr(oracle, "star_word", counted)
+    monkeypatch.setattr(oracle, "star_group_algebra", counted)
     start = time.perf_counter()
     assert module_W(lam, SuperBasis(*kl), 12).dim == w_dim(lam, *kl)
+    assert terms > 0
     assert time.perf_counter() - start < 10
 
 
@@ -343,10 +348,12 @@ def test_cap_bounds_module_work(lam, kl, monkeypatch):
     + [(lam, (1, 1)) for lam in enumerate_partitions(5)],
 )
 def test_every_block_insert_grows(lam, kl, monkeypatch):
-    # Every EchelonBasis in module_W logs its inserts.  The returned block's
-    # log must be dim W inserts that all grew it; the seed basis is not read.
+    # module_W builds two logged bases: the seed span, then the block.  The
+    # seed log must be one insert per semistandard filling, s_lambda(k|l)
+    # in all, and the block's dim W inserts; every insert must grow.
     from filteralg import oracle
-    from filteralg.linalg import EchelonBasis
+
+    made = []
 
     class Logged(EchelonBasis):
         __slots__ = ("grew",)
@@ -354,6 +361,7 @@ def test_every_block_insert_grows(lam, kl, monkeypatch):
         def __init__(self):
             super().__init__()
             self.grew = []
+            made.append(self)
 
         def insert(self, vec):
             self.grew.append(super().insert(vec))
@@ -361,7 +369,59 @@ def test_every_block_insert_grows(lam, kl, monkeypatch):
 
     monkeypatch.setattr(oracle, "EchelonBasis", Logged)
     block = oracle._module_W_cached.__wrapped__(lam, *kl)
+    seeds, built = made
+    assert built is block
+    assert seeds.grew == [True] * schur_dim(lam, *kl)
     assert block.grew == [True] * w_dim(lam, *kl)
+
+
+@pytest.mark.parametrize(
+    "lam, kl", [((2, 1), (2, 0)), ((3, 2, 1), (2, 1)), ((2, 2), (0, 2))]
+)
+def test_duplicated_seed_raises(lam, kl, monkeypatch):
+    # A seed that does not grow the seed span must not yield a smaller block.
+    from filteralg import oracle
+
+    fillings = oracle._super_tableaux
+
+    def doubled(*args):
+        words = fillings(*args)
+        return words[:1] + words
+
+    monkeypatch.setattr(oracle, "_super_tableaux", doubled)
+    with pytest.raises(AssertionError, match="semistandard seeds"):
+        oracle._module_W_cached.__wrapped__(lam, *kl)
+
+
+def _semistandard(rows, k):
+    """Direct check of the (k,l) rules on a filling given by its rows."""
+    for row in rows:
+        for a, b in zip(row, row[1:]):
+            if a > b or (a == b and a > k):
+                return False
+    for upper, lower in zip(rows, rows[1:]):
+        for a, b in zip(upper, lower):
+            if a > b or (a == b and a <= k):
+                return False
+    return True
+
+
+def test_super_tableaux_are_the_semistandard_fillings():
+    # Against every word of the degree, cut into the shape's rows.
+    from filteralg.oracle import _super_tableaux
+
+    for n in range(6):
+        for lam in enumerate_partitions(n):
+            starts = [sum(lam[:r]) for r in range(len(lam))]
+            for k, l in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)]:
+                got = _super_tableaux(lam, k, l)
+                want = [
+                    w
+                    for w in product(range(1, k + l + 1), repeat=n)
+                    if _semistandard([w[s : s + p] for s, p in zip(starts, lam)], k)
+                ]
+                assert got == want, (lam, k, l)
+                assert len(got) == schur_dim(lam, k, l), (lam, k, l)
 
 
 def test_standard_tableaux():
