@@ -38,22 +38,23 @@ symmetrizers that the tests check :func:`module_W` against live in
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
 blocks of positions) runs over an orbit of ``G`` on words, one carrying
-permutation per word, instead of listing ``G``.  :func:`module_W` does
-so for the larger of a tableau's row and column groups, on the orbits of
-the shape's semistandard fillings, and lists the smaller; the orbits are
-disjoint, so ``DIM_CAP`` bounds its seeding work as well.  With
-``G = S_n``, :func:`check_annihilation` does one twisted action per
-term of the value and sign.
+permutation per word (:func:`_carriers`), instead of listing ``G``.
+:func:`module_W` does so for the larger of a tableau's row and column
+groups, on the orbits of the shape's semistandard fillings, and lists
+the smaller; the orbits are disjoint, so ``DIM_CAP`` bounds its seeding
+work as well.  :func:`check_annihilation` needs no orbit: a value's
+words are rearrangements of one word, so each total symmetrizer maps it
+to a multiple of that word's image, and the multiple is a sign sum.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
 :func:`filteralg.linalg.add_terms`, and :func:`star_group_algebra` is
 the only loop applying the twisted action to a vector: the
-per-permutation action, the module seeds and the annihilation check
-call it.  It compiles each permutation once per call into an
-``itemgetter`` and a bit mask per position, so a term costs one XOR per
-odd letter; :func:`star_word` and :func:`f_I` stay as the single-word
-definitions the tests check it against.
+per-permutation action and the module seeds call it.  It compiles each
+permutation once per call into an ``itemgetter`` and a bit mask per
+position, so a term costs one XOR per odd letter; :func:`star_word` and
+:func:`f_I` stay as the single-word definitions the tests check it
+against.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _check_cap(basis: SuperBasis, n: int) -> None:
 
 
 def perm_sign(p: Perm) -> int:
-    """``(-1)`` to the number of inversions of a sequence of distinct values."""
+    """``(-1)`` to the number of strict inversions of a sequence: pairs
+    ``a < b`` with ``p[a] > p[b]``; equal values never count."""
     n = len(p)
     inv = sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
     return -1 if inv & 1 else 1
@@ -308,13 +310,14 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     ``w * x`` span it, ``w`` running over the row readings of the
     ``(k,l)``-semistandard fillings (Berele-Regev).  The action is a
     right action, so ``w * x`` is two passes: the larger group ``G``,
-    then the smaller ``H``.  ``w * G`` is the sum over the distinct
-    rearrangements of ``w`` in the blocks of ``G``, times the order of its
-    stabiliser, which no semistandard ``w`` makes cancel (:func:`_killed`);
-    the terms that ``H`` cancels by the same rule are dropped.  The orbits
-    are disjoint, so the passes cost at most ``(k+l)^n`` and
-    ``(k+l)^n * |H|`` twisted actions.  A seed that does not grow the
-    seed span raises ``AssertionError``.
+    then the smaller ``H`` on the whole result.  ``w * G`` is the sum
+    over the distinct rearrangements of ``w`` in the blocks of ``G``
+    (:func:`_carriers`), times the order of its stabiliser, which is
+    nonzero: it would be 0 only if a block repeated an odd letter
+    (``G = R``) or an even one (``G = C``), and a semistandard filling
+    repeats neither.  The orbits are disjoint, so the passes cost at most
+    ``(k+l)^n`` and ``(k+l)^n * |H|`` twisted actions.  A seed that does
+    not grow the seed span raises ``AssertionError``.
 
     *Translates.*  ``x * Q[S_n]`` has the basis ``x * sigma_S``, one per
     standard tableau ``S`` (the standard basis of the Specht module),
@@ -348,7 +351,6 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     for seed in fillings:
         orbit_sum = {p: 1 if rows_first else perm_sign(p) for p in _carriers(seed, first)}
         v = star_group_algebra({seed: 1}, orbit_sum, basis)
-        v = {w: c for w, c in v.items() if not _killed(w, second, rows_first, basis)}
         seeds.insert(star_group_algebra(v, second_sum, basis))
     if seeds.dim != len(fillings):
         raise AssertionError(
@@ -368,40 +370,6 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
 def _group_order(blocks: Sequence[Sequence[int]]) -> int:
     """Order of the group of permutations preserving each block setwise."""
     return prod(factorial(len(b)) for b in blocks)
-
-
-def _orbit_sums(
-    words: Iterable[Word],
-    blocks: Sequence[Sequence[int]],
-    basis: SuperBasis,
-    signed: bool,
-) -> Iterator[tuple[Word, dict]]:
-    """One ``(seed, element)`` pair per orbit of the block group on ``words``.
-
-    The group ``G`` preserving each block rearranges the letters inside
-    each block, so an orbit is named by the multiset of letters in each
-    block.  The first given word of an orbit is its seed, and ``element``
-    holds one permutation ``p`` of ``G`` per given word ``w`` of the
-    orbit, carrying the seed onto it (``star_word(seed, p) = (e, w)``),
-    with coefficient ``1`` (``G+``) or ``sign(p)`` (``G-``,
-    ``signed=True``); then ``w * G± = e * element[p] * (seed * G±)``.
-    Given every word of a degree, ``seed * element`` is ``seed * G±``
-    divided by the order of the seed's stabiliser.  Orbits whose
-    stabiliser cancels the seed (see :func:`_killed`) are left out.
-    """
-    orbits: dict = {}
-    for w in words:
-        key = tuple(tuple(sorted(w[p - 1] for p in b)) for b in blocks)
-        orbits.setdefault(key, []).append(w)
-    for orbit in orbits.values():
-        seed = orbit[0]
-        if _killed(seed, blocks, signed, basis):
-            continue
-        element = {}
-        for w in orbit:
-            p = _carrying(seed, w, blocks)
-            element[p] = perm_sign(p) if signed else 1
-        yield seed, element
 
 
 def _super_tableaux(lam: Partition, k: int, l: int) -> list[Word]:
@@ -433,8 +401,11 @@ def _super_tableaux(lam: Partition, k: int, l: int) -> list[Word]:
 
 
 def _carriers(seed: Word, blocks: Sequence[Sequence[int]]) -> Iterator[Perm]:
-    """A carrying permutation (:func:`_carrying`) per distinct
-    rearrangement of ``seed`` inside the blocks, chosen letter by letter."""
+    """One carrier ``p`` per distinct rearrangement ``w`` of ``seed``
+    inside the blocks: ``p`` preserves each block, ``w[i] = seed[p(i)]``
+    (so ``seed * p = +-w``), and equal letters keep their order.  Each
+    letter in turn takes a combination of the free positions of a block.
+    """
     per_block = []
     for block in blocks:
         sources: dict = {}
@@ -454,35 +425,6 @@ def _carriers(seed: Word, blocks: Sequence[Sequence[int]]) -> Iterator[Perm]:
             for pos, src in pairs:
                 img[pos - 1] = src
         yield tuple(img)
-
-
-def _killed(
-    word: Word, blocks: Sequence[Sequence[int]], signed: bool, basis: SuperBasis
-) -> bool:
-    """Whether ``word * G+`` (or ``word * G-``, ``signed=True``) is zero.
-
-    It is exactly when some block repeats an odd letter (``G+``) or an
-    even letter (``G-``): swapping the two repeats fixes the word but
-    flips the sign of its term, so the stabiliser sums to zero.
-    """
-    cancelling = 0 if signed else 1
-    for b in blocks:
-        letters = [word[p - 1] for p in b if basis.parity(word[p - 1]) == cancelling]
-        if len(set(letters)) < len(letters):
-            return True
-    return False
-
-
-def _carrying(seed: Word, word: Word, blocks: Sequence[Sequence[int]]) -> Perm:
-    """A block-preserving ``p`` with ``word[i] = seed[p(i)]``: ``seed * p ~ word``."""
-    img = [0] * len(seed)
-    for block in blocks:
-        sources: dict = {}
-        for pos in block:
-            sources.setdefault(seed[pos - 1], []).append(pos)
-        for pos in block:
-            img[pos - 1] = sources[word[pos - 1]].pop()
-    return tuple(img)
 
 
 def ideal_subspace(omega: Filter, basis: SuperBasis, n: int) -> EchelonBasis:
@@ -1013,28 +955,37 @@ def check_annihilation(
 ) -> bool:
     """True iff ``g(monomials)`` is killed by both total symmetrizers.
 
-    The value, of total degree ``n``, must vanish under the full and
-    the signed sums over ``S_n``, which certifies that it has no
-    component in the single-row or single-column blocks.  By orbits
-    (:func:`_orbit_sums` with one block), ``value * S±`` is the sum of
-    the nonzero ``seed * S±`` times ``sum element[p] * e * value[w]``
-    over ``(e, w) = star_word(seed, p)``, so each such scalar, the dot
-    product of ``seed * element`` with the value, must be 0.
+    The value, of total degree ``n``, must vanish under the full and the
+    signed sums ``S+``, ``S-`` over ``S_n``: then it has no component in
+    the single-row or single-column blocks.  Each word ``w`` of the value
+    rearranges ``w0``, the monomials concatenated: ``w = f_J(p) * w0 * p``
+    for the ``p`` with ``w[i] = w0[p(i)]`` keeping equal letters in order.
+    As ``p * S+ = S+`` and ``p * S- = sign(p) * S-``, ``value * S+`` is
+    ``sum value[w] * f_J(p)`` times ``w0 * S+``, which is 0 iff ``w0``
+    repeats an odd letter, and ``value * S-`` is ``sum value[w] * sign(p)
+    * f_J(p)`` times ``w0 * S-``, 0 iff ``w0`` repeats an even letter.
+    ``p`` inverts the pairs of distinct letters that ``w`` orders unlike
+    ``w0``, and a pair of equal odd letters counts in both ``sign(p)``
+    and ``f_J(p)``; so up to one sign fixed by ``w0``, the factors are
+    :func:`perm_sign` of ``w``'s odd letters, times ``perm_sign(w)`` in
+    the signed sum.  No twisted action is made.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
         raise ValueError(f"need {g.degree} monomials, got {len(words)}")
-    for w in words:
-        if not w:
-            raise ValueError("monomials must be nonempty words")
-        for z in w:
-            basis.parity(z)
-    n = sum(len(w) for w in words)
-    if n > DEGREE_CAP:
-        raise CapExceeded(f"total degree {n} exceeds cap {DEGREE_CAP}")
-    value = _substitute(_terms(g), words)
-    for signed in (False, True):
-        for seed, element in _orbit_sums(value, [range(1, n + 1)], basis, signed):
-            if dot(star_group_algebra({seed: 1}, element, basis), value):
-                return False
-    return True
+    if not all(words):
+        raise ValueError("monomials must be nonempty words")
+    w0 = sum(words, ())
+    for z in w0:
+        basis.parity(z)
+    if len(w0) > DEGREE_CAP:
+        raise CapExceeded(f"total degree {len(w0)} exceeds cap {DEGREE_CAP}")
+    k = basis.k
+    full = signed = 0
+    for w, c in _substitute(_terms(g), words).items():
+        term = c * perm_sign(tuple(z for z in w if z > k))
+        full += term
+        signed += term * perm_sign(w)
+    repeats = [z for z, m in Counter(w0).items() if m > 1]
+    full_killed = not full or any(z > k for z in repeats)
+    return full_killed and (not signed or any(z <= k for z in repeats))

@@ -284,6 +284,10 @@ def _annihilation_cases(draw):
 @example((B11, br_cube(), [(1,), (2,), (1,), (2,), (2,), (1,)]))
 @example((SuperBasis(2, 1), commutator_product(1), [(1,), (2,)]))
 @example((SuperBasis(0, 2), commutator_product(1), [(1,), (1, 2)]))
+# Nonzero only through the signed sum, with the odd letter repeated.
+@example((B11, commutator_product(1), [(2,), (1, 2)]))
+# Nonzero through the full sum, with two distinct odd letters.
+@example((SuperBasis(0, 2), commutator_product(1), [(1,), (2,)]))
 def test_annihilation_matches_total_symmetrizers(case):
     # The reference expands S_n: the value is starred with every
     # permutation of the full and the signed sum.
@@ -301,6 +305,18 @@ def test_annihilation_matches_total_symmetrizers(case):
         for sym in (full_symmetrizer, sign_symmetrizer)
     )
     assert check_annihilation(g, monomials, basis) == expected
+
+
+def test_annihilation_makes_no_twisted_action(monkeypatch):
+    # The verdict is a sign sum over the value's words: no term is starred.
+    def refuse(*args):
+        raise AssertionError("check_annihilation applied the twisted action")
+
+    monkeypatch.setattr(oracle, "star_group_algebra", refuse)
+    basis = SuperBasis(7, 0)
+    assert not check_annihilation(standard_poly(7), [(i,) for i in range(1, 8)], basis)
+    tup = [(1,), (2,), (3,), (4,), (5,), (6, 7)]
+    assert check_annihilation(commutator_product(3), tup, basis)
 
 
 def test_annihilation_input_validation():

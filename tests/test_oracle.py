@@ -28,6 +28,7 @@ from filteralg.oracle import (
     ideal_subspace,
     module_W,
     multilinear_from_free,
+    perm_sign,
     standard_tableau,
     star_action,
     star_group_algebra,
@@ -55,6 +56,13 @@ def test_f_I_examples():
     assert f_I((2, 1), {1, 2}) == -1
     assert f_I((2, 3, 1), {1, 3}) == -1
     assert f_I((1, 2, 3), {1, 2, 3}) == 1
+
+
+def test_perm_sign_counts_strict_inversions():
+    # Equal values never form an inversion.
+    assert perm_sign((2, 1, 2)) == -1
+    assert perm_sign((1, 1)) == 1
+    assert perm_sign((2, 2, 1, 1)) == 1
 
 
 def test_star_action_signs():
