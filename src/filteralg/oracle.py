@@ -25,16 +25,16 @@ never build the span of the member blocks.  Hard caps keep
 the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
 ``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
 refuses a value of total degree above ``DEGREE_CAP = 7``.  The EE
-criterion (:func:`is_identity_EE`) is decided exhaustively up to degree
-``EE_DEGREE_CAP = 9``, and the dimension of its identity space
-(:func:`ee_identity_kernel_dim`, dense ranks of ``2^(d//2 + 1)``
-blocks, one per character of an abelian symmetry group of the ``f_I``,
-each over one column per orbit of that group on ``S_d``) up to
-``KERNEL_DEGREE_CAP = 6``.  Each function reads its cap from the module
-(and the environment) when it is called.  Exceeding a cap raises
-:class:`CapExceeded`, never approximates.  The fully listed Young
-symmetrizers that the tests check :func:`module_W` against live in
-``tests/reference.py``.
+criterion (:func:`is_identity_EE`, on the pairs of even-size subsets)
+is decided exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
+dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
+ranks of ``2 * (d//2 + 1)`` blocks, one per class of characters of an
+abelian symmetry group of the ``f_I``, each over one column per orbit
+of that group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 6``.  Each
+function reads its cap from the module (and the environment) when it
+is called.  Exceeding a cap raises :class:`CapExceeded`, never
+approximates.  The fully listed Young symmetrizers that the tests check
+:func:`module_W` against live in ``tests/reference.py``.
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
 blocks of positions) runs over an orbit of ``G`` on words, one carrying
@@ -64,8 +64,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations, product
-from math import factorial, prod
-from operator import itemgetter, xor
+from math import comb, factorial, prod
+from operator import gt, itemgetter, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .filters import Filter
@@ -762,17 +762,23 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     """Decide whether ``g`` is an identity of the square of the Grassmann algebra.
 
     The criterion is the vanishing of
-    ``sum_sigma alpha_sigma f_{I1}(sigma) f_{I2}(sigma)`` for every pair
-    of subsets ``I1, I2`` of the variable positions.  Every pair is
-    decided, so either verdict is a proof.
+    ``B(I1, I2) = sum_sigma alpha_sigma f_{I1}(sigma) f_{I2}(sigma)`` for
+    every pair of subsets ``I1, I2`` of the variable positions.  ``B`` is
+    bilinear in ``f_{I1}`` and ``f_{I2}``, and every ``f_I`` of odd size
+    is a signed sum of ``f_J`` of even size (:func:`_subset_parities`), so
+    it is enough to decide the pairs of even subsets: 2,016 pairs instead
+    of 7,050 distinct pair sets at degree 7.  Every such pair is decided,
+    so either verdict is a proof.
 
     The product ``f_{I1} f_{I2}`` is ``-1`` exactly on the terms whose
     permutation inverts an odd number of the value pairs in
-    ``P(I1) ^ P(I2)``, where ``P(I)`` is the set of pairs inside ``I``
-    (see :func:`_subset_parities`).  With that set of terms as a bit mask
-    ``par``, the sum is the coefficient sum minus twice the coefficients
-    of ``par``; the latter is read off bit-sliced coefficient masks with
-    one ``bit_count`` each.  Each distinct pair set is tested once.
+    ``P(I1) ^ P(I2)``, where ``P(I)`` is the set of pairs inside ``I``.
+    With that set of terms as a bit mask ``par``, the sum is the
+    coefficient sum minus twice the coefficients of ``par``; the latter
+    is read off bit-sliced coefficient masks with one ``bit_count`` each.
+    Distinct pairs of even subsets have distinct pair sets
+    ``P(I1) ^ P(I2)`` at every degree up to the cap (tested), so no pair
+    repeats the work of another.
     """
     d = g.degree
     if d > EE_DEGREE_CAP:
@@ -785,23 +791,21 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     if sum(c for _, c in items):
         return False
     weighted = _coefficient_slices([c for _, c in items])
-    subsets = list(_subset_parities([sigma for sigma, _ in items], d).items())
-    seen = set()
-    for i, (pairs1, par1) in enumerate(subsets):
-        for pairs2, par2 in subsets[i + 1 :]:
-            pairs = pairs1 ^ pairs2
-            if pairs in seen:
-                continue
-            seen.add(pairs)
+    parities = list(_subset_parities([sigma for sigma, _ in items], d).values())
+    for i, par1 in enumerate(parities):
+        for par2 in parities[i + 1 :]:
             par = par1 ^ par2
             if sum(w * (mask & par).bit_count() for w, mask in weighted):
                 return False
     return True
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits(flags: Sequence[bool]) -> int:
     """The int whose bit ``t`` is ``flags[t]``."""
-    return int("".join("1" if f else "0" for f in reversed(flags)) or "0", 2)
+    return int(bytes(flags[::-1]).translate(_BIT_DIGITS) or b"0", 2)
 
 
 def _coefficient_slices(coeffs: Sequence[int]) -> list[tuple[int, int]]:
@@ -819,34 +823,36 @@ def _coefficient_slices(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _subset_parities(perms: Sequence[Perm], d: int) -> dict[int, int]:
-    """``f_I`` on ``perms`` as bits, for each distinct pair set ``P(I)``.
+def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int]:
+    """``f_I`` on ``perms`` as bits, for each subset ``I`` of even size.
 
     ``f_I(sigma)`` is ``-1`` to the number of value pairs ``a < b``
     inside ``I`` that ``sigma`` inverts, i.e. places ``b`` before ``a``.
     One big-int column per value pair marks the permutations inverting
     it, and the parity of ``I`` is the XOR of the columns of its pairs.
-    Keys are ``P(I)`` as a bit mask over the value pairs (every subset of
-    size at most one has the empty set); values have bit ``t`` set when
-    ``f_I(perms[t]) = -1``.
+    Keys are the subsets ``I`` as increasing tuples, ``()`` included;
+    values have bit ``t`` set when ``f_I(perms[t]) = -1``.
+
+    The odd subsets are left out because they add nothing to the span
+    ``V`` of the ``f_I``.  *Lemma 1:* for ``I = {i_1 < ... < i_r}`` with
+    ``r`` odd, ``f_I = sum_j (-1)^(j-1) f_{I - i_j}``.  Let ``p_j`` be
+    the place of ``i_j`` in ``sigma``'s pattern on ``I``.  Dropping
+    ``i_j`` removes the inversions it takes part in, which are
+    ``p_j - j`` mod 2, so the right side is
+    ``f_I(sigma) sum_j (-1)^(p_j - 1)``; the ``p_j`` run over ``1..r``,
+    and that sum is 1 for odd ``r``.
     """
-    positions = []
-    for sigma in perms:
-        pos = [0] * (d + 1)
-        for i, v in enumerate(sigma):
-            pos[v] = i
-        positions.append(pos)
-    pairs = list(combinations(range(1, d + 1), 2))
-    inverted = {(a, b): _bits([p[a] > p[b] for p in positions]) for a, b in pairs}
-    pair_bit = {pair: 1 << i for i, pair in enumerate(pairs)}
-    out: dict[int, int] = {}
-    for m in range(d + 1):
-        for sub in combinations(range(1, d + 1), m):
-            inside = list(combinations(sub, 2))
-            key = sum(pair_bit[q] for q in inside)
-            if key not in out:
-                out[key] = reduce(xor, (inverted[q] for q in inside), 0)
-    return out
+    # at[v - 1][t] is the position of the value v in perms[t].
+    at = [[sigma.index(v) for sigma in perms] for v in range(1, d + 1)]
+    inverted = {
+        (a, b): _bits(list(map(gt, at[a - 1], at[b - 1])))
+        for a, b in combinations(range(1, d + 1), 2)
+    }
+    return {
+        sub: reduce(xor, (inverted[q] for q in combinations(sub, 2)), 0)
+        for m in range(0, d + 1, 2)
+        for sub in combinations(range(1, d + 1), m)
+    }
 
 
 def ee_identity_kernel_dim(d: int) -> int:
@@ -855,28 +861,43 @@ def ee_identity_kernel_dim(d: int) -> int:
     Rank-nullity of the subset-pair constraint matrix over the
     rationals, whose row for ``(I1, I2)`` is ``f_{I1} * f_{I2}`` over all
     of ``S_d``.  The rows are bilinear in the ``f_I``, so they span
-    ``R = V * V`` for ``V`` the span of the ``f_I``.
+    ``R = V * V`` for ``V`` the span of the ``f_I``, which the even
+    subsets alone span (Lemma 1 of :func:`_subset_parities`).
 
     ``R`` is ranked one block at a time.  The group ``G`` of
     :func:`_ee_symmetries` (the swaps of the values ``2i-1, 2i`` and the
-    reversal of positions, ``G = (Z/2)^m``) multiplies functions on
-    ``S_d`` pointwise and sends every ``f_I`` to some ``+-f_J``: a
-    relabeling gives ``f_I(pi o sigma) = +-f_{pi^-1 I}(sigma)``, the
-    reversal ``f_I(sigma w0) = (-1)^C(|I|,2) f_I(sigma)``.  So ``V`` is
-    the direct sum of its eigenspaces ``V_chi`` over the ``2^m``
-    characters, and ``R`` the direct sum over ``theta`` of the spans
-    ``R_theta`` of the products ``V_chi * V_psi`` with ``chi psi = theta``
-    (Maschke's theorem for an abelian group).  An eigenvector is fixed
-    by its values at one word per ``G``-orbit, so each ``R_theta`` is
-    ranked on those columns only: at ``d = 6``, 16 blocks of 48 columns
-    instead of one block of 720.
+    reversal of positions, ``G = (Z/2)^(m+1)`` with ``m = d // 2``)
+    multiplies functions on ``S_d`` pointwise and sends every ``f_I`` to
+    some ``+-f_J``: a relabeling gives ``f_I(pi o sigma) =
+    +-f_{pi^-1 I}(sigma)``, the reversal ``f_I(sigma w0) =
+    (-1)^C(|I|,2) f_I(sigma)``.  So ``V`` is the direct sum of its
+    eigenspaces ``V_chi`` over the characters of ``G``, and ``R`` the
+    direct sum over ``theta`` of the spans ``R_theta`` of the products
+    ``V_chi * V_psi`` with ``chi psi = theta`` (Maschke's theorem for an
+    abelian group).  An eigenvector is fixed by its values at one word
+    per ``G``-orbit, so each ``R_theta`` is ranked on those columns only.
 
     Each orbit is listed in group-element order (bit ``j`` of the index
     applies generator ``j``), so one Walsh--Hadamard transform of a
     sign row over an orbit gives its projection onto every ``V_chi`` at
     the orbit's first word.  An orbit with a nontrivial stabiliser
     lists its words more than once, and the characters that are not
-    trivial on the stabiliser get 0 there, as they must.
+    trivial on the stabiliser get 0 there, as they must.  A swap sends
+    ``f_I`` to ``+-f_J`` with ``J`` the swapped subset, whose
+    projections are those of ``f_I`` up to sign, so ``V_chi`` is spanned
+    by the nonzero transforms of one even subset per swap orbit: the
+    subsets in which no pair ``{2i-1, 2i}`` holds ``2i`` alone (14 at
+    ``d = 6``, with 32 nonzero rows in all).  The rank of the products
+    does not need those rows to be independent.
+
+    *Lemma 2:* relabeling the values by a permutation ``pi`` of the pairs
+    ``{2i-1, 2i}`` commutes with the reversal, sends each ``f_I`` to some
+    ``+-f_J`` and conjugates swap ``i`` to swap ``pi(i)``.  So it maps
+    ``R_theta`` onto ``R_{theta o pi}``, and the rank of ``R_theta``
+    depends only on the number ``w`` of swap bits of ``theta`` and on its
+    reversal bit.  One ``theta`` per ``(w, reversal bit)`` is ranked and
+    counted ``C(m, w)`` times: ``2(m+1)`` dense ranks instead of
+    ``2^(m+1)``, 8 instead of 16 at ``d = 6``.
     """
     d = check_size(d, "d")
     if d > KERNEL_DEGREE_CAP:
@@ -892,28 +913,29 @@ def ee_identity_kernel_dim(d: int) -> int:
             seen.update(orbit)
             words += orbit
     n = len(words)
-    spaces = [EchelonBasis() for _ in range(size)]
-    for par in _subset_parities(words, d).values():
+    m = d // 2
+    rows: list[list[list[int]]] = [[] for _ in range(size)]
+    for sub, par in _subset_parities(words, d).items():
+        if any(2 * i in sub and 2 * i - 1 not in sub for i in range(1, m + 1)):
+            continue
         bits = format(par, f"0{n}b")[::-1]
         # Row g holds the signs at the g-th word of every orbit.
-        rows = [[-1 if b == "1" else 1 for b in bits[g::size]] for g in range(size)]
-        for space, row in zip(spaces, _walsh_hadamard(rows)):
-            space.insert(dict(enumerate(row)))
-    orbits = n // size
-    bases = [
-        [[r.get(o, 0) for o in range(orbits)] for r in space.rows()] for space in spaces
-    ]
+        signs = [[-1 if b == "1" else 1 for b in bits[g::size]] for g in range(size)]
+        for chi, row in enumerate(_walsh_hadamard(signs)):
+            if any(row):
+                rows[chi].append(row)
     rank = 0
-    for theta in range(size):
+    for w, reversal in product(range(m + 1), (0, 1)):
+        theta = (1 << w) - 1 | reversal << m
         products = []
         for chi in range(size):
             psi = chi ^ theta
             if psi < chi:
                 continue
-            for i, u in enumerate(bases[chi]):
-                for v in bases[psi][i:] if psi == chi else bases[psi]:
+            for i, u in enumerate(rows[chi]):
+                for v in rows[psi][i:] if psi == chi else rows[psi]:
                     products.append([x * y for x, y in zip(u, v)])
-        rank += dense_rank(products)
+        rank += comb(m, w) * dense_rank(products)
     return factorial(d) - rank
 
 

@@ -5,20 +5,21 @@ shares none of the package's shortcuts: standard tableaux by corner
 removal, ``(k,l)``-semistandard tableaux by counting the oracle's list,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
 listing their groups, membership in an ideal slice by echelon
-reduction against the span of the member blocks, and the size of a
-shape below its first row.
+reduction against the span of the member blocks, the rank of the E⊗E
+identity constraints one character at a time, and the size of a shape
+below its first row.
 They are meant for small inputs only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Sequence
 
 from filteralg import oracle
-from filteralg.linalg import add_terms
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank
 from filteralg.filters import Filter
 from filteralg.oracle import (
     CapExceeded,
@@ -28,12 +29,15 @@ from filteralg.oracle import (
     _blocks_span,
     _check_cap,
     _compositions,
+    _ee_symmetries,
     _group_order,
     _group_sum,
     _substitute,
     _super_tableaux,
     _tableau_blocks,
     _terms,
+    _walsh_hadamard,
+    f_I,
     ideal_subspace,
 )
 from filteralg.partitions import Partition, check_partition, check_size, contains
@@ -196,3 +200,56 @@ def check_ideal_by_span(omega_set, basis: SuperBasis, n_max: int) -> bool:
                 if not target.contains(left) or not target.contains(right):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The E⊗E identity constraints, one character at a time.
+
+
+def ee_ranks_by_character(d: int) -> list[int]:
+    """The rank of ``R_theta`` for every character ``theta`` of the group of
+    :func:`filteralg.oracle._ee_symmetries`, in character order.
+
+    ``ee_identity_kernel_dim`` ranks one character per class of the pair
+    permutations; this ranks all ``2^(d//2 + 1)`` of them.  The sign rows
+    are ``f_I`` of every subset ``I``, odd ones included, over the
+    ``G``-orbits of ``S_d`` listed in group-element order.  Each row's
+    Walsh--Hadamard transforms are reduced to an echelon basis of each
+    eigenspace ``V_chi``, and ``R_theta`` is ranked on the products of
+    the bases of ``V_chi`` and ``V_psi`` with ``chi psi = theta``.  Their
+    sum is ``d!`` minus the kernel dimension.
+    """
+    gens = _ee_symmetries(d)
+    size = 1 << len(gens)
+    words, seen = [], set()
+    for sigma in permutations(range(1, d + 1)):
+        if sigma not in seen:
+            orbit = [sigma]
+            for gen in gens:
+                orbit += [gen(w) for w in orbit]
+            seen.update(orbit)
+            words += orbit
+    spaces = [EchelonBasis() for _ in range(size)]
+    for m in range(d + 1):
+        for sub in combinations(range(1, d + 1), m):
+            signs = [f_I(w, sub) for w in words]
+            # Row g holds the signs at the g-th word of every orbit.
+            rows = [signs[g::size] for g in range(size)]
+            for space, row in zip(spaces, _walsh_hadamard(rows)):
+                space.insert(dict(enumerate(row)))
+    orbits = len(words) // size
+    bases = [
+        [[r.get(o, 0) for o in range(orbits)] for r in space.rows()] for space in spaces
+    ]
+    ranks = []
+    for theta in range(size):
+        products = []
+        for chi in range(size):
+            psi = chi ^ theta
+            if psi < chi:
+                continue
+            for i, u in enumerate(bases[chi]):
+                for v in bases[psi][i:] if psi == chi else bases[psi]:
+                    products.append([x * y for x, y in zip(u, v)])
+        ranks.append(dense_rank(products))
+    return ranks

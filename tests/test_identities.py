@@ -26,7 +26,7 @@ from filteralg.oracle import (
     standard_poly,
     star_group_algebra,
 )
-from reference import compose, full_symmetrizer, sign_symmetrizer
+from reference import compose, ee_ranks_by_character, full_symmetrizer, sign_symmetrizer
 
 B11 = SuperBasis(1, 1)
 
@@ -111,17 +111,20 @@ def _kernel_dim_over_all_pairs(d):
 def _kernel_dim_basis_products(d):
     """Rank of the products of a basis of the sign rows over all of ``S_d``.
 
-    The basis is the sign rows that enlarge an echelon basis; only the
+    The sign rows are ``f_I`` of every subset ``I``, odd ones included;
+    the basis is the rows that enlarge an echelon basis, and only the
     distinct products are ranked, in one block of ``d!`` columns.
     """
     perms = list(permutations(range(1, d + 1)))
-    signs = lambda par: [-1 if par >> t & 1 else 1 for t in range(len(perms))]
     spanned, basis = EchelonBasis(), []
-    for par in _subset_parities(perms, d).values():
-        if spanned.insert(dict(enumerate(signs(par)))):
-            basis.append(par)
-    products = dict.fromkeys(a ^ b for i, a in enumerate(basis) for b in basis[i:])
-    return factorial(d) - dense_rank([signs(p) for p in products])
+    for sub in _subsets(d):
+        row = [f_I(sigma, sub) for sigma in perms]
+        if spanned.insert(dict(enumerate(row))):
+            basis.append(row)
+    products = dict.fromkeys(
+        tuple(x * y for x, y in zip(a, b)) for i, a in enumerate(basis) for b in basis[i:]
+    )
+    return factorial(d) - dense_rank(list(products))
 
 
 _coefficients = st.one_of(
@@ -155,8 +158,66 @@ def _polys(draw):
 
 @settings(deadline=None)
 @given(_polys())
+@example(br_cube())  # an identity at degree 6
+@example(commutator_product(3))  # not one, at degree 6
 def test_parity_masks_match_direct_sum(g):
+    # The reference sums over every subset pair, odd subsets included.
     assert is_identity_EE(g) == _direct_verdict(g)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_odd_subset_signs_expand_over_even_ones(d):
+    # f_I = sum_j (-1)^(j-1) f_{I - i_j} for I = {i_1 < ... < i_r}, r odd.
+    perms = list(permutations(range(1, d + 1)))
+    for sub in _subsets(d):
+        if len(sub) % 2:
+            ordered = sorted(sub)
+            for sigma in perms:
+                expansion = sum(
+                    (-1) ** j * f_I(sigma, ordered[:j] + ordered[j + 1 :])
+                    for j in range(len(ordered))
+                )
+                assert f_I(sigma, sub) == expansion, (sorted(sub), sigma)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_even_subset_signs_have_rank_half_the_subsets(d):
+    perms = list(permutations(range(1, d + 1)))
+    rows = [[f_I(sigma, sub) for sigma in perms] for sub in _subsets(d) if len(sub) % 2 == 0]
+    assert dense_rank(rows) == 2 ** (d - 1)
+    # _subset_parities holds exactly those rows, keyed by subset.
+    parities = _subset_parities(perms, d)
+    assert sorted(parities) == sorted(tuple(sorted(sub)) for sub in _subsets(d) if len(sub) % 2 == 0)
+    for sub, par in parities.items():
+        assert [-1 if par >> t & 1 else 1 for t in range(len(perms))] == [
+            f_I(sigma, sub) for sigma in perms
+        ]
+
+
+def test_even_subset_pairs_have_distinct_pair_sets():
+    # is_identity_EE decides each pair of even subsets once; no two pairs
+    # share the set P(I1) ^ P(I2) of value pairs their product depends on.
+    for d in range(oracle.EE_DEGREE_CAP + 1):
+        evens = [sub for sub in _subsets(d) if len(sub) % 2 == 0]
+        pair_sets = [frozenset(combinations(sorted(sub), 2)) for sub in evens]
+        xors = [a ^ b for i, a in enumerate(pair_sets) for b in pair_sets[i + 1 :]]
+        assert len(set(xors)) == len(xors) == len(evens) * (len(evens) - 1) // 2
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_kernel_ranks_depend_only_on_the_class_of_the_character(d):
+    # A permutation of the pairs {2i-1, 2i} maps R_theta onto R_{theta o pi},
+    # so the rank of R_theta depends only on how many swap bits theta has
+    # and on its reversal bit.
+    ranks = ee_ranks_by_character(d)
+    m = d // 2
+    classes: dict = {}
+    for theta, rank in enumerate(ranks):
+        key = ((theta & ((1 << m) - 1)).bit_count(), theta >> m)
+        classes.setdefault(key, set()).add(rank)
+    assert len(classes) == 2 * (m + 1)
+    assert all(len(v) == 1 for v in classes.values()), classes
+    assert factorial(d) - sum(ranks) == ee_identity_kernel_dim(d)
 
 
 def test_kernel_dims():
