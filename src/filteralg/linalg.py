@@ -56,13 +56,6 @@ def intify(vec: dict) -> dict:
     return out
 
 
-def dot(u: dict, v: dict):
-    """The sum of ``u[key] * v[key]`` over the keys both vectors share."""
-    if len(u) > len(v):
-        u, v = v, u
-    return sum(c * v.get(key, 0) for key, c in u.items())
-
-
 def _normalize(v: dict) -> None:
     g = 0
     for c in v.values():

@@ -20,9 +20,10 @@ a word to a signed word, so the isotypic blocks of a slice are mutually
 orthogonal for the dot product on words, and the slice is their direct
 sum.  Membership in the blocks of a set of shapes is therefore decided
 on the quotient side: :func:`evaluate_identity` and :func:`check_ideal`
-test a vector's dot product with every row of every other block, and
-never build the span of the member blocks.  Hard caps keep
-the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
+index the rows of every other block by column once per call, add each
+vector's terms into one sum per row, and call the vector a member iff
+every sum is 0.  They never build the span of the member blocks.  Hard
+caps keep the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
 ``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
 refuses a value of total degree above ``DEGREE_CAP = 7``.  The EE
 criterion (:func:`is_identity_EE`, on the pairs of even-size subsets)
@@ -48,13 +49,17 @@ to a multiple of that word's image, and the multiple is a sign sum.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
-:func:`filteralg.linalg.add_terms`, and :func:`star_group_algebra` is
-the only loop applying the twisted action to a vector: the
-per-permutation action and the module seeds call it.  It compiles each
-permutation once per call into an ``itemgetter`` and a bit mask per
-position, so a term costs one XOR per odd letter; :func:`star_word` and
-:func:`f_I` stay as the single-word definitions the tests check it
-against.
+:func:`filteralg.linalg.add_terms`, and :func:`_star_compiled` is the
+only loop applying the twisted action to a vector.  It takes each
+permutation compiled (:func:`_compiled`) into an ``itemgetter`` and a
+bit mask per position, so a term costs one XOR per odd letter.
+:func:`star_group_algebra` (and through it the per-permutation action
+and the module seeds) compiles its element once per call, and the
+module translates compile each permutation once for all the vectors it
+moves.  :func:`star_word` and :func:`f_I` stay as the single-word
+definitions the tests check the loop against.  A polynomial compiles
+its terms the same way once, on first use
+(:meth:`MultilinearPoly.compiled_terms`).
 """
 
 from __future__ import annotations
@@ -63,13 +68,14 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
-from operator import gt, itemgetter, xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import and_, itemgetter, or_, xor
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .filters import Filter
-from .linalg import EchelonBasis, add_terms, dense_rank, dot, intify
+from .linalg import EchelonBasis, add_terms, dense_rank, intify
 from .partitions import (
     Partition,
     check_alphabet,
@@ -179,12 +185,18 @@ def star_group_algebra(vec: dict, element: dict, basis: SuperBasis) -> dict:
     XOR over its odd positions; the result equals :func:`star_word`
     term by term.
     """
-    out: dict = {}
     if not element:
-        return out
-    n = len(next(iter(element)))
-    compiled = [(*_compiled(sigma), c) for sigma, c in element.items()]
-    k = basis.k
+        return {}
+    return _star_compiled(vec, [(*_compiled(sigma), c) for sigma, c in element.items()], basis.k)
+
+
+def _star_compiled(vec: dict, compiled: list[tuple[Callable, list[int], object]], k: int) -> dict:
+    """The loop of :func:`star_group_algebra` over an element already
+    compiled into ``(permuted, below, c)`` triples (see :func:`_compiled`),
+    so that a caller applying one element to many vectors compiles it
+    once.  ``k`` is the number of even letters."""
+    out: dict = {}
+    n = len(compiled[0][1])
     for w, a in vec.items():
         if len(w) != n:
             raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
@@ -325,7 +337,8 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     the same cell.  So the block is spanned by the ``f_lambda`` translates
     ``u * sigma_S`` of each row ``u`` of the seed span's basis.  That is
     ``dim W`` vectors, so every insert grows the block, and past the
-    seeding the work is exactly ``dim W`` twisted actions and inserts.
+    seeding the work is exactly ``dim W`` twisted actions and inserts,
+    with each ``sigma_S`` compiled once for all the rows it moves.
 
     Results are cached per ``(shape, k, l)`` and must be treated as
     read-only.
@@ -361,9 +374,9 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     for filling in _standard_tableaux(lam):
         # sigma_S: each entry of S goes to the entry of T in the same cell.
         cell = dict(zip(chain.from_iterable(filling), chain.from_iterable(tableau)))
-        sigma = tuple(cell[i] for i in range(1, n + 1))
+        translate = [(*_compiled(tuple(cell[i] for i in range(1, n + 1))), 1)]
         for u in seed_rows:
-            block.insert(star_action(u, sigma, basis))
+            block.insert(_star_compiled(u, translate, k))
     return block
 
 
@@ -462,9 +475,28 @@ def _blocks_rows(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> list
     return [row for lam in shapes for row in module_W(lam, basis, n).rows()]
 
 
-def _orthogonal(vec: dict, rows: Sequence[dict]) -> bool:
-    """Whether ``vec`` has dot product 0 with every row."""
-    return not any(dot(vec, row) for row in rows)
+def _column_index(rows: Iterable[dict]) -> dict[Word, list[tuple[int, int]]]:
+    """The rows by column: ``word -> [(row number, coefficient)]``, one
+    entry per row whose support holds the word."""
+    columns: dict = {}
+    for r, row in enumerate(rows):
+        for w, a in row.items():
+            columns.setdefault(w, []).append((r, a))
+    return columns
+
+
+def _orthogonal(terms: Iterable[tuple[Word, int]], columns: dict) -> bool:
+    """Whether the vector ``sum c * w`` over ``terms`` has dot product 0
+    with every row of the :func:`_column_index` ``columns``.
+
+    The terms are added straight into per-row sums, so a word may repeat
+    and the vector is never built.
+    """
+    sums: dict = {}
+    for w, c in terms:
+        for r, a in columns.get(w, ()):
+            sums[r] = sums.get(r, 0) + c * a
+    return not any(sums.values())
 
 
 def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
@@ -475,8 +507,9 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     land in the degree ``n+1`` slice spanned by the listed shapes, for
     every generator ``z``.  That slice is tested from the quotient side:
     a vector lies in it iff it is orthogonal to every block of an
-    unlisted shape (see :func:`evaluate_identity`).  The input need not
-    be upward closed; that is the point of the check.
+    unlisted shape (see :func:`evaluate_identity`), and the rows of
+    those blocks are indexed by column once per degree.  The input need
+    not be upward closed; that is the point of the check.
     """
     n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max)
@@ -485,16 +518,18 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
         sources = _blocks_rows([lam for lam in members if sum(lam) == n], basis, n)
         if not sources:
             continue
-        others = _blocks_rows(
-            [lam for lam in enumerate_partitions(n + 1) if lam not in members],
-            basis,
-            n + 1,
+        columns = _column_index(
+            _blocks_rows(
+                [lam for lam in enumerate_partitions(n + 1) if lam not in members],
+                basis,
+                n + 1,
+            )
         )
         for row in sources:
             for z in basis.letters:
-                left = {(z,) + w: c for w, c in row.items()}
-                right = {w + (z,): c for w, c in row.items()}
-                if not _orthogonal(left, others) or not _orthogonal(right, others):
+                left = (((z,) + w, c) for w, c in row.items())
+                right = ((w + (z,), c) for w, c in row.items())
+                if not _orthogonal(left, columns) or not _orthogonal(right, columns):
                     return False
     return True
 
@@ -530,11 +565,15 @@ def generated_ideal(
 
 
 class MultilinearPoly:
-    """``sum_sigma alpha_sigma x_{sigma(1)} ... x_{sigma(d)}`` with exact coefficients."""
+    """``sum_sigma alpha_sigma x_{sigma(1)} ... x_{sigma(d)}`` with exact coefficients.
 
-    __slots__ = ("degree", "coeffs")
+    ``coeffs`` is a read-only mapping, so the terms compiled from it on
+    first use (:meth:`compiled_terms`) stay valid for the object's life.
+    """
 
-    def __init__(self, degree: int, coeffs: dict):
+    __slots__ = ("degree", "_coeffs", "_terms")
+
+    def __init__(self, degree: int, coeffs: Mapping):
         clean = {}
         for sigma, c in coeffs.items():
             if sorted(sigma) != list(range(1, degree + 1)):
@@ -542,12 +581,29 @@ class MultilinearPoly:
             if c:
                 clean[tuple(sigma)] = c
         self.degree = degree
-        self.coeffs = clean
+        self._coeffs = MappingProxyType(clean)
+        self._terms: Optional[list[tuple[Callable[[Sequence], tuple], int]]] = None
+
+    @property
+    def coeffs(self) -> Mapping[Perm, object]:
+        """The nonzero coefficients by permutation (read-only)."""
+        return self._coeffs
 
     def int_coeffs(self) -> list[tuple[Perm, int]]:
         """Coefficients scaled by the common denominator (identity-equivalent)."""
         scaled = intify(self.coeffs)
         return sorted(scaled.items())
+
+    def compiled_terms(self) -> list[tuple[Callable[[Sequence], tuple], int]]:
+        """The terms as ``(permuted, c)``, built on the first call.
+
+        ``c`` is the coefficient scaled to an integer as in
+        :meth:`int_coeffs` (identity-equivalent), and ``permuted(words)``
+        puts the words in the term's order: ``(words[sigma(1) - 1], ...)``.
+        """
+        if self._terms is None:
+            self._terms = [(_permuter(sigma), c) for sigma, c in intify(self.coeffs).items()]
+        return self._terms
 
     def __repr__(self):
         return f"MultilinearPoly(degree={self.degree}, terms={len(self.coeffs)})"
@@ -713,17 +769,11 @@ def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _terms(g: MultilinearPoly) -> list[tuple[Callable, int]]:
-    """``g``'s terms as ``(permuted, c)`` for :func:`_substitute`: ``c`` is
-    the coefficient scaled to an integer (identity-equivalent), and
-    ``permuted(words)`` puts the words in the term's order."""
-    return [(_permuter(sigma), c) for sigma, c in intify(g.coeffs).items()]
-
-
-def _substitute(terms: list[tuple[Callable, int]], words: Sequence[Word]) -> dict:
+def _substitute(g: MultilinearPoly, words: Sequence[Word]) -> dict:
     """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at
-    ``x_i = words[i-1]``, for the :func:`_terms` of the polynomial."""
-    return add_terms({}, ((sum(permuted(words), ()), c) for permuted, c in terms))
+    ``x_i = words[i-1]``, over the :meth:`~MultilinearPoly.compiled_terms`
+    of ``g``."""
+    return add_terms({}, ((sum(permuted(words), ()), c) for permuted, c in g.compiled_terms()))
 
 
 def evaluate_identity(
@@ -743,17 +793,22 @@ def evaluate_identity(
     2.6).  The degree-``n`` slice is the orthogonal direct sum of the
     blocks, so a value lies in the members' blocks iff its dot product
     with every row of every non-member block is 0.
+
+    The rows of the non-member blocks are indexed by column once per
+    call (:func:`_column_index`).  A value's terms are then added into
+    one sum per row, each term's word touching only the rows that hold
+    it, so the value is never built and no row it misses is read.
     """
     _check_ambient(omega, basis)
     _check_cap(basis, n)
-    others = _blocks_rows(
-        [lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n
+    columns = _column_index(
+        _blocks_rows([lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n)
     )
-    terms = _terms(g)
+    terms = g.compiled_terms()
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
     for comp in _compositions(n, g.degree):
         for tup in product(*[words_by_len[m] for m in comp]):
-            if not _orthogonal(_substitute(terms, tup), others):
+            if not _orthogonal(((sum(permuted(tup), ()), c) for permuted, c in terms), columns):
                 return False
     return True
 
@@ -783,15 +838,15 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     d = g.degree
     if d > EE_DEGREE_CAP:
         raise CapExceeded(f"degree {d} exceeds cap {EE_DEGREE_CAP}")
-    items = g.int_coeffs()
-    if not items:
+    scaled = intify(g.coeffs)
+    if not scaled:
         return True
     # I1 == I2 gives the plain coefficient sum; with it zero, every other
     # pair vanishes iff the coefficients of the terms in ``par`` cancel.
-    if sum(c for _, c in items):
+    if sum(scaled.values()):
         return False
-    weighted = _coefficient_slices([c for _, c in items])
-    parities = list(_subset_parities([sigma for sigma, _ in items], d).values())
+    weighted = _coefficient_slices(list(scaled.values()))
+    parities = list(_subset_parities(list(scaled), d).values())
     for i, par1 in enumerate(parities):
         for par2 in parities[i + 1 :]:
             par = par1 ^ par2
@@ -816,8 +871,9 @@ def _coefficient_slices(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     there are.
     """
     out = []
-    for sign in (1, -1):
-        mags = [max(c * sign, 0) for c in coeffs]
+    positive = [c if c > 0 else 0 for c in coeffs]
+    negative = [-c if c < 0 else 0 for c in coeffs]
+    for sign, mags in ((1, positive), (-1, negative)):
         for j in range(max(mags).bit_length()):
             out.append((sign << j, _bits([m >> j & 1 for m in mags])))
     return out
@@ -841,11 +897,27 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int
     ``p_j - j`` mod 2, so the right side is
     ``f_I(sigma) sum_j (-1)^(p_j - 1)``; the ``p_j`` run over ``1..r``,
     and that sum is 1 for odd ``r``.
+
+    The columns are built from position bit planes: bit ``t`` of
+    ``place[v - 1][p]`` is set when ``perms[t]`` puts the value ``v`` at
+    position ``p``.  A plane is one ``bytes.translate`` of the values at
+    position ``p`` (a slice of the permutations laid end to end, so
+    ``d`` must stay below 256) and one ``int(..., 2)``.  ``sigma``
+    inverts ``a < b`` iff ``b`` sits at some position before ``a``'s,
+    so the column of ``(a, b)`` is the OR over positions ``q`` of
+    ``place[a - 1][q]`` AND the OR of ``place[b - 1][p]`` for ``p < q``.
     """
-    # at[v - 1][t] is the position of the value v in perms[t].
-    at = [[sigma.index(v) for sigma in perms] for v in range(1, d + 1)]
+    # Reversed, so that perms[t] lands on bit t of int(..., 2).
+    flat = bytes(chain.from_iterable(perms))[::-1]
+    at_position = [flat[d - 1 - p :: d] for p in range(d)]
+    place = []
+    for v in range(1, d + 1):
+        digits = b"0" * v + b"1" + b"0" * (255 - v)
+        place.append([int(col.translate(digits) or b"0", 2) for col in at_position])
+    # earlier[v - 1][q]: perms placing v at some position before q.
+    earlier = [list(accumulate(planes[:-1], or_, initial=0)) for planes in place]
     inverted = {
-        (a, b): _bits(list(map(gt, at[a - 1], at[b - 1])))
+        (a, b): reduce(or_, map(and_, place[a - 1], earlier[b - 1]), 0)
         for a, b in combinations(range(1, d + 1), 2)
     }
     return {
@@ -1004,7 +1076,7 @@ def check_annihilation(
         raise CapExceeded(f"total degree {len(w0)} exceeds cap {DEGREE_CAP}")
     k = basis.k
     full = signed = 0
-    for w, c in _substitute(_terms(g), words).items():
+    for w, c in _substitute(g, words).items():
         term = c * perm_sign(tuple(z for z in w if z > k))
         full += term
         signed += term * perm_sign(w)

@@ -35,7 +35,6 @@ from filteralg.oracle import (
     _substitute,
     _super_tableaux,
     _tableau_blocks,
-    _terms,
     _walsh_hadamard,
     f_I,
     ideal_subspace,
@@ -171,11 +170,10 @@ def evaluate_identity_by_span(
     """``evaluate_identity`` with each value reduced against the echelon
     span of the member blocks (``ideal_subspace``)."""
     ideal = ideal_subspace(omega, basis, n)
-    terms = _terms(g)
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
     for comp in _compositions(n, g.degree):
         for tup in product(*[words_by_len[m] for m in comp]):
-            val = _substitute(terms, tup)
+            val = _substitute(g, tup)
             if val and not ideal.contains(val):
                 return False
     return True

@@ -1,3 +1,4 @@
+import random
 from itertools import chain, combinations, permutations, product
 from math import factorial
 
@@ -39,6 +40,20 @@ def test_multilinearize_shapes():
     assert standard_poly(4).degree == 4
     assert commutator_product(3).degree == 6
     assert len(standard_poly(4).coeffs) == 24
+
+
+def test_poly_coefficients_are_read_only():
+    # The compiled terms are built from the coefficients once, so the
+    # coefficients cannot change under them.
+    g = commutator_product(1)
+    with pytest.raises(AttributeError):
+        g.coeffs = {(1, 2): 5}
+    with pytest.raises(TypeError):
+        g.coeffs[(1, 2)] = 5
+    with pytest.raises(TypeError):
+        del g.coeffs[(1, 2)]
+    assert dict(g.coeffs) == {(1, 2): 1, (2, 1): -1}
+    assert g.compiled_terms() is g.compiled_terms()
 
 
 def test_multilinearize_rejects_inhomogeneous():
@@ -192,6 +207,23 @@ def test_even_subset_signs_have_rank_half_the_subsets(d):
         assert [-1 if par >> t & 1 else 1 for t in range(len(perms))] == [
             f_I(sigma, sub) for sigma in perms
         ]
+
+
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_subset_parities_match_f_I_on_permutation_lists(d):
+    # Lists of drawn permutations, not all of S_d: repeats, one
+    # permutation and no permutation at all.
+    rng = random.Random(d)
+    drawn = [tuple(rng.sample(range(1, d + 1), d)) for _ in range(30)]
+    evens = sorted(tuple(sorted(sub)) for sub in _subsets(d) if len(sub) % 2 == 0)
+    for perms in (drawn, drawn[:7] * 2 + drawn[3:5], drawn[:1], []):
+        parities = _subset_parities(perms, d)
+        assert sorted(parities) == evens
+        for sub, par in parities.items():
+            assert par >> len(perms) == 0
+            assert [-1 if par >> t & 1 else 1 for t in range(len(perms))] == [
+                f_I(sigma, sub) for sigma in perms
+            ], (perms, sub)
 
 
 def test_even_subset_pairs_have_distinct_pair_sets():
@@ -378,6 +410,26 @@ def test_annihilation_makes_no_twisted_action(monkeypatch):
     assert not check_annihilation(standard_poly(7), [(i,) for i in range(1, 8)], basis)
     tup = [(1,), (2,), (3,), (4,), (5,), (6, 7)]
     assert check_annihilation(commutator_product(3), tup, basis)
+
+
+def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
+    # Verdicts on one polynomial object reuse its compiled terms; each
+    # must equal the verdict on a freshly built copy.
+    cases = [
+        (popov5a, B11, list(product([(1,), (2,)], repeat=5)) + [[(1, 2), (1,), (2,), (1,), (2,)]]),
+        (lambda: standard_poly(4), SuperBasis(4, 0), list(product([(1,), (2,), (3,), (4,)], repeat=4))),
+        (lambda: commutator_product(2), SuperBasis(2, 1), [
+            tup for tup in product([(1,), (3,), (2, 3)], repeat=4) if sum(map(len, tup)) <= 7
+        ]),
+    ]
+    verdicts = set()
+    for make, basis, tuples in cases:
+        g = make()
+        for tup in tuples:
+            verdict = check_annihilation(g, tup, basis)
+            assert verdict == check_annihilation(make(), tup, basis), tup
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_annihilation_input_validation():
