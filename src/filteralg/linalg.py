@@ -15,7 +15,7 @@ A sparse vector is a ``dict`` that never stores a zero coefficient;
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index
 from typing import Iterable
 
@@ -43,10 +43,7 @@ def intify(vec: dict) -> dict:
     """
     if all(type(c) is int for c in vec.values()):
         return {key: c for key, c in vec.items() if c}
-    denom = 1
-    for c in vec.values():
-        f = Fraction(c)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
+    denom = lcm(*(Fraction(c).denominator for c in vec.values()))
     out = {}
     for key, c in vec.items():
         f = Fraction(c)
@@ -57,9 +54,7 @@ def intify(vec: dict) -> dict:
 
 
 def _normalize(v: dict) -> None:
-    g = 0
-    for c in v.values():
-        g = gcd(g, c)
+    g = gcd(*v.values())
     if v[min(v)] < 0:
         g = -g
     if g != 1:

@@ -38,14 +38,15 @@ approximates.  The fully listed Young symmetrizers that the tests check
 :func:`module_W` against live in ``tests/reference.py``.
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
-blocks of positions) runs over an orbit of ``G`` on words, one carrying
-permutation per word (:func:`_carriers`), instead of listing ``G``.
-:func:`module_W` does so for the larger of a tableau's row and column
-groups, on the orbits of the shape's semistandard fillings, and lists
-the smaller; the orbits are disjoint, so ``DIM_CAP`` bounds its seeding
-work as well.  :func:`check_annihilation` needs no orbit: a value's
-words are rearrangements of one word, so each total symmetrizer maps it
-to a multiple of that word's image, and the multiple is a sign sum.
+blocks of positions) runs over the orbit of a word under ``G``, one
+carrying permutation per distinct rearrangement (:func:`_carriers`).
+:func:`module_W` uses this one rule for both of a tableau's groups: the
+larger on the orbits of the shape's semistandard fillings, which are
+disjoint, so ``DIM_CAP`` bounds that work too, and the smaller on the
+word ``(1, ..., n)`` of distinct letters, whose carriers are the whole
+group.  :func:`check_annihilation` needs no orbit: a value's words are
+rearrangements of one word, so each total symmetrizer maps it to a
+multiple of that word's image, and the multiple is a sign sum.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
@@ -53,11 +54,11 @@ stores a zero coefficient.  Sums of such vectors go through
 only loop applying the twisted action to a vector.  It takes each
 permutation compiled (:func:`_compiled`) into an ``itemgetter`` and a
 bit mask per position, so a term costs one XOR per odd letter.
-:func:`star_group_algebra` (and through it the per-permutation action
-and the module seeds) compiles its element once per call, and the
-module translates compile each permutation once for all the vectors it
-moves.  :func:`star_word` and :func:`f_I` stay as the single-word
-definitions the tests check the loop against.  A polynomial compiles
+:func:`star_group_algebra` (and through it the per-permutation action)
+compiles its element once per call, and :func:`module_W` compiles each
+permutation once for all the vectors it moves.  :func:`star_word` and
+:func:`f_I` stay as the single-word definitions the tests check the
+loop against.  A polynomial compiles
 its terms the same way once, on first use
 (:meth:`MultilinearPoly.compiled_terms`).
 """
@@ -263,20 +264,6 @@ def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
     return rows, cols
 
 
-def _group_sum(blocks: Sequence[Sequence[int]], n: int, signed: bool) -> dict:
-    """Sum of the permutations of ``1..n`` preserving each block setwise:
-    ``R+`` of the row blocks, or ``C-`` of the column blocks (``signed``)."""
-    out = {}
-    for assignment in product(*[permutations(b) for b in blocks]):
-        img = list(range(n + 1))
-        for block, perm in zip(blocks, assignment):
-            for src, dst in zip(block, perm):
-                img[src] = dst
-        p = tuple(img[1:])
-        out[p] = perm_sign(p) if signed else 1
-    return out
-
-
 def standard_tableau(lam: Partition) -> list[list[int]]:
     """The row-major standard filling of a shape."""
     rows, nxt = [], 1
@@ -318,27 +305,29 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     generate the same two-sided ideal of the group algebra, so the
     canonical echelon rows do not depend on the choice.
 
-    *Seeds.*  ``V^n * x`` has dimension ``s_lambda(k|l)``, and the
-    ``w * x`` span it, ``w`` running over the row readings of the
-    ``(k,l)``-semistandard fillings (Berele-Regev).  The action is a
+    *Seeds.*  ``V^n * x`` has dimension ``s_lambda(k|l)``, and the seeds
+    ``w * x`` are a basis of it, ``w`` running over the row readings of
+    the ``(k,l)``-semistandard fillings (Berele-Regev).  The action is a
     right action, so ``w * x`` is two passes: the larger group ``G``,
     then the smaller ``H`` on the whole result.  ``w * G`` is the sum
     over the distinct rearrangements of ``w`` in the blocks of ``G``
     (:func:`_carriers`), times the order of its stabiliser, which is
     nonzero: it would be 0 only if a block repeated an odd letter
     (``G = R``) or an even one (``G = C``), and a semistandard filling
-    repeats neither.  The orbits are disjoint, so the passes cost at most
-    ``(k+l)^n`` and ``(k+l)^n * |H|`` twisted actions.  A seed that does
-    not grow the seed span raises ``AssertionError``.
+    repeats neither.  ``H`` is listed as the carriers of ``(1, ..., n)``.
+    The orbits are disjoint, so the passes cost at most ``(k+l)^n`` and
+    ``(k+l)^n * |H|`` twisted actions.  No basis of the seeds' span is
+    built.
 
     *Translates.*  ``x * Q[S_n]`` has the basis ``x * sigma_S``, one per
     standard tableau ``S`` (the standard basis of the Specht module),
     where ``sigma_S`` sends each entry of ``S`` to the entry of ``T`` in
     the same cell.  So the block is spanned by the ``f_lambda`` translates
-    ``u * sigma_S`` of each row ``u`` of the seed span's basis.  That is
-    ``dim W`` vectors, so every insert grows the block, and past the
+    ``u * sigma_S`` of each seed ``u``: ``dim W`` vectors, a basis iff
+    the seeds are independent.  The inserts are the check: a translate
+    that does not grow the block raises ``AssertionError``.  Past the
     seeding the work is exactly ``dim W`` twisted actions and inserts,
-    with each ``sigma_S`` compiled once for all the rows it moves.
+    with each ``sigma_S`` compiled once for all the seeds it moves.
 
     Results are cached per ``(shape, k, l)`` and must be treated as
     read-only.
@@ -352,31 +341,31 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
 
 @lru_cache(maxsize=None)
 def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
-    basis = SuperBasis(k, l)
     n = sum(lam)
     tableau = standard_tableau(lam)
     rows, cols = _tableau_blocks(tableau)
     rows_first = _group_order(rows) >= _group_order(cols)
     first, second = (rows, cols) if rows_first else (cols, rows)
-    second_sum = _group_sum(second, n, signed=rows_first)
-    fillings = _super_tableaux(lam, k, l)
-    seeds = EchelonBasis()
-    for seed in fillings:
-        orbit_sum = {p: 1 if rows_first else perm_sign(p) for p in _carriers(seed, first)}
-        v = star_group_algebra({seed: 1}, orbit_sum, basis)
-        seeds.insert(star_group_algebra(v, second_sum, basis))
-    if seeds.dim != len(fillings):
-        raise AssertionError(
-            f"{len(fillings)} semistandard seeds of {lam} span {seeds.dim} dimensions"
-        )
-    seed_rows = seeds.rows()
+    second_sum = [
+        (*_compiled(p), perm_sign(p) if rows_first else 1)
+        for p in _carriers(tuple(range(1, n + 1)), second)
+    ]
+    seeds = []
+    for seed in _super_tableaux(lam, k, l):
+        orbit_sum = [
+            (*_compiled(p), 1 if rows_first else perm_sign(p)) for p in _carriers(seed, first)
+        ]
+        seeds.append(_star_compiled(_star_compiled({seed: 1}, orbit_sum, k), second_sum, k))
     block = EchelonBasis()
     for filling in _standard_tableaux(lam):
         # sigma_S: each entry of S goes to the entry of T in the same cell.
         cell = dict(zip(chain.from_iterable(filling), chain.from_iterable(tableau)))
         translate = [(*_compiled(tuple(cell[i] for i in range(1, n + 1))), 1)]
-        for u in seed_rows:
-            block.insert(_star_compiled(u, translate, k))
+        for u in seeds:
+            if not block.insert(_star_compiled(u, translate, k)):
+                raise AssertionError(
+                    f"the {len(seeds)} semistandard seeds of {lam} are linearly dependent"
+                )
     return block
 
 
@@ -970,6 +959,10 @@ def ee_identity_kernel_dim(d: int) -> int:
     reversal bit.  One ``theta`` per ``(w, reversal bit)`` is ranked and
     counted ``C(m, w)`` times: ``2(m+1)`` dense ranks instead of
     ``2^(m+1)``, 8 instead of 16 at ``d = 6``.
+
+    For ``1 <= d <= 7``, and at ``d = 8`` (34,132, an earlier rank), the
+    value is ``d! - c_d`` with ``c_d = C(2d, d)/2 - 2^d + d + 1``: a
+    candidate codimension sequence of E⊗E, fitted, not proven.
     """
     d = check_size(d, "d")
     if d > KERNEL_DEGREE_CAP:

@@ -157,14 +157,6 @@ class GrowthReport:
         return {"alpha": self.alpha, "slope": self.slope, "verdict": self.verdict}
 
 
-def _log_int(d: int) -> float:
-    """Natural log of a positive integer, safe for huge values."""
-    if d.bit_length() <= 900:
-        return math.log(d)
-    shift = d.bit_length() - 60
-    return math.log(d >> shift) + shift * math.log(2)
-
-
 def verify_growth(omega: Filter, n_max: int) -> GrowthReport:
     """Compare the computed series against the predicted growth exponent.
 
@@ -178,7 +170,7 @@ def verify_growth(omega: Filter, n_max: int) -> GrowthReport:
     alpha = omega.exp_growth()
     ser = series(omega, n_max)
     d_last = ser.values[-1]
-    slope = _log_int(d_last) / n_max if d_last > 0 and n_max > 0 else None
+    slope = math.log(d_last) / n_max if d_last > 0 and n_max > 0 else None
     if alpha == 0:
         bound = omega.nilpotency_bound()
         passed = bound is not None and all(

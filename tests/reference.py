@@ -31,13 +31,13 @@ from filteralg.oracle import (
     _compositions,
     _ee_symmetries,
     _group_order,
-    _group_sum,
     _substitute,
     _super_tableaux,
     _tableau_blocks,
     _walsh_hadamard,
     f_I,
     ideal_subspace,
+    perm_sign,
 )
 from filteralg.partitions import Partition, check_partition, check_size, contains
 
@@ -120,6 +120,21 @@ def count_lr_fillings(mu: Partition, lam: Partition, nu: Partition) -> int:
 def compose(p: Perm, q: Perm) -> Perm:
     """(p * q)(i) = p(q(i))."""
     return tuple(p[qi - 1] for qi in q)
+
+
+def _group_sum(blocks: Sequence[Sequence[int]], n: int, signed: bool) -> dict:
+    """Sum of the permutations of ``1..n`` preserving each block setwise,
+    one ``itertools.permutations`` tuple per block: ``R+`` of the row
+    blocks, or ``C-`` of the column blocks (``signed``)."""
+    out = {}
+    for assignment in product(*[permutations(b) for b in blocks]):
+        img = list(range(n + 1))
+        for block, perm in zip(blocks, assignment):
+            for src, dst in zip(block, perm):
+                img[src] = dst
+        p = tuple(img[1:])
+        out[p] = perm_sign(p) if signed else 1
+    return out
 
 
 def full_symmetrizer(n: int) -> dict:

@@ -1,6 +1,6 @@
 import random
 from itertools import chain, combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -273,9 +273,19 @@ def test_kernel_blocks_match_basis_products(d):
     assert ee_identity_kernel_dim(d) == _kernel_dim_basis_products(d)
 
 
+def _codim_fit(d):
+    """Candidate codimension sequence of E⊗E: C(2d, d)/2 - 2^d + d + 1."""
+    return comb(2 * d, d) // 2 - 2**d + d + 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_kernel_dims_fit_the_closed_form(d):
+    assert ee_identity_kernel_dim(d) == factorial(d) - _codim_fit(d)
+
+
 def test_kernel_degree_7_under_raised_cap(monkeypatch):
     monkeypatch.setattr(oracle, "KERNEL_DEGREE_CAP", 7)
-    assert ee_identity_kernel_dim(7) == 3444
+    assert ee_identity_kernel_dim(7) == 3444 == factorial(7) - _codim_fit(7)
 
 
 @pytest.mark.parametrize("d", [-1, True, False, "3", 2.0])
