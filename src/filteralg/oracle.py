@@ -25,9 +25,11 @@ vector's terms into one sum per row, and call the vector a member iff
 every sum is 0.  They never build the span of the member blocks.  Hard
 caps keep the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
 ``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
-refuses a value of total degree above ``DEGREE_CAP = 7``.  The EE
-criterion (:func:`is_identity_EE`, on the pairs of even-size subsets)
-is decided exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
+refuses a value of total degree above ``DEGREE_CAP = 7``, although its
+work (one sign table per polynomial, ``C(d, 2)`` monomial pairs per
+call) does not grow with that degree.  The EE criterion
+(:func:`is_identity_EE`, on the pairs of even-size subsets) is decided
+exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
 dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
 ranks of ``2 * (d//2 + 1)`` blocks, one per class of characters of an
 abelian symmetry group of the ``f_I``, each over one column per orbit
@@ -44,9 +46,7 @@ carrying permutation per distinct rearrangement (:func:`_carriers`).
 larger on the orbits of the shape's semistandard fillings, which are
 disjoint, so ``DIM_CAP`` bounds that work too, and the smaller on the
 word ``(1, ..., n)`` of distinct letters, whose carriers are the whole
-group.  :func:`check_annihilation` needs no orbit: a value's words are
-rearrangements of one word, so each total symmetrizer maps it to a
-multiple of that word's image, and the multiple is a sign sum.
+group.
 
 A tensor vector (and a group-algebra element) is a ``dict`` that never
 stores a zero coefficient.  Sums of such vectors go through
@@ -58,9 +58,21 @@ bit mask per position, so a term costs one XOR per odd letter.
 compiles its element once per call, and :func:`module_W` compiles each
 permutation once for all the vectors it moves.  :func:`star_word` and
 :func:`f_I` stay as the single-word definitions the tests check the
-loop against.  A polynomial compiles
-its terms the same way once, on first use
-(:meth:`MultilinearPoly.compiled_terms`).
+loop against.
+
+A polynomial keeps one :class:`SignTable`, built on first use
+(:meth:`MultilinearPoly.sign_table`): its integer coefficient total,
+its coefficients bit-sliced into masks over the terms, and one big-int
+column per variable pair marking the terms that invert the pair.  Both
+PI verdicts are signed sums of the coefficients read off that table,
+each one XOR of columns and a few ``bit_count`` calls:
+:func:`is_identity_EE` per pair of even subsets, and
+:func:`check_annihilation`, which needs no orbit and builds no value.
+A value's words are rearrangements of one word, so each total
+symmetrizer maps it to a multiple of that word's image, and the
+multiple is a sign sum over the terms.  :func:`evaluate_identity`
+compiles each term once per composition of the degree, into one
+``itemgetter`` over the concatenated word.
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
 from operator import and_, itemgetter, or_, xor
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .filters import Filter
 from .linalg import EchelonBasis, add_terms, dense_rank, intify
@@ -556,11 +568,11 @@ def generated_ideal(
 class MultilinearPoly:
     """``sum_sigma alpha_sigma x_{sigma(1)} ... x_{sigma(d)}`` with exact coefficients.
 
-    ``coeffs`` is a read-only mapping, so the terms compiled from it on
-    first use (:meth:`compiled_terms`) stay valid for the object's life.
+    ``coeffs`` is a read-only mapping, so the sign table built from it on
+    first use (:meth:`sign_table`) stays valid for the object's life.
     """
 
-    __slots__ = ("degree", "_coeffs", "_terms")
+    __slots__ = ("degree", "_coeffs", "_signs")
 
     def __init__(self, degree: int, coeffs: Mapping):
         clean = {}
@@ -571,7 +583,7 @@ class MultilinearPoly:
                 clean[tuple(sigma)] = c
         self.degree = degree
         self._coeffs = MappingProxyType(clean)
-        self._terms: Optional[list[tuple[Callable[[Sequence], tuple], int]]] = None
+        self._signs: Optional[SignTable] = None
 
     @property
     def coeffs(self) -> Mapping[Perm, object]:
@@ -583,19 +595,42 @@ class MultilinearPoly:
         scaled = intify(self.coeffs)
         return sorted(scaled.items())
 
-    def compiled_terms(self) -> list[tuple[Callable[[Sequence], tuple], int]]:
-        """The terms as ``(permuted, c)``, built on the first call.
+    def sign_table(self) -> SignTable:
+        """The terms' :class:`SignTable`, built on the first call.
 
-        ``c`` is the coefficient scaled to an integer as in
-        :meth:`int_coeffs` (identity-equivalent), and ``permuted(words)``
-        puts the words in the term's order: ``(words[sigma(1) - 1], ...)``.
+        The coefficients are scaled to integers as in :meth:`int_coeffs`
+        (identity-equivalent), and term ``t`` is the ``t``-th of them.
         """
-        if self._terms is None:
-            self._terms = [(_permuter(sigma), c) for sigma, c in intify(self.coeffs).items()]
-        return self._terms
+        if self._signs is None:
+            scaled = intify(self.coeffs)
+            self._signs = SignTable(
+                sum(scaled.values()),
+                _coefficient_slices(list(scaled.values())),
+                _inversion_columns(list(scaled), self.degree),
+            )
+        return self._signs
 
     def __repr__(self):
         return f"MultilinearPoly(degree={self.degree}, terms={len(self.coeffs)})"
+
+
+class SignTable(NamedTuple):
+    """A polynomial's terms as bit columns, for sums of signed coefficients.
+
+    Bit ``t`` of every mask stands for the term ``t``.  ``total`` is the
+    coefficient sum, ``slices`` the :func:`_coefficient_slices` of the
+    coefficients, and ``columns[(a, b)]``, for variables ``a < b``, marks
+    the terms that put ``x_b`` before ``x_a`` (:func:`_inversion_columns`).
+    """
+
+    total: int
+    slices: list[tuple[int, int]]
+    columns: dict[tuple[int, int], int]
+
+    def signed_sum(self, flips: int) -> int:
+        """``sum_t c_t * (-1)^bit_t(flips)``: the total minus twice the
+        coefficients under ``flips``, one ``bit_count`` per slice."""
+        return self.total - 2 * sum(w * (mask & flips).bit_count() for w, mask in self.slices)
 
 
 # Free polynomials in noncommuting variables: word over 0-based variable
@@ -665,9 +700,16 @@ def multilinearize(poly: dict) -> MultilinearPoly:
 
 
 def standard_poly(d: int) -> MultilinearPoly:
-    """The alternating sum over all orders of ``d`` distinct variables."""
+    """The alternating sum over all orders of ``d`` distinct variables.
+
+    Each sign is the parity of the term's Lehmer code: ``permutations``
+    runs in lex order, and so do the codes, digit ``i`` (0-based) in
+    ``0..d-1-i``, and the digits sum to the inversion count.
+    """
+    codes = product(*[range(d - i) for i in range(d)])
     return MultilinearPoly(
-        d, {p: perm_sign(p) for p in permutations(range(1, d + 1))}
+        d,
+        {p: -1 if sum(code) & 1 else 1 for p, code in zip(permutations(range(1, d + 1)), codes)},
     )
 
 
@@ -758,13 +800,6 @@ def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _substitute(g: MultilinearPoly, words: Sequence[Word]) -> dict:
-    """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at
-    ``x_i = words[i-1]``, over the :meth:`~MultilinearPoly.compiled_terms`
-    of ``g``."""
-    return add_terms({}, ((sum(permuted(words), ()), c) for permuted, c in g.compiled_terms()))
-
-
 def evaluate_identity(
     g: MultilinearPoly, omega: Filter, basis: SuperBasis, n: int
 ) -> bool:
@@ -787,17 +822,29 @@ def evaluate_identity(
     call (:func:`_column_index`).  A value's terms are then added into
     one sum per row, each term's word touching only the rows that hold
     it, so the value is never built and no row it misses is read.
+
+    The tuples whose lengths form one composition of ``n`` are exactly
+    the splittings of the words of length ``n`` at the composition's
+    cuts.  So each term is compiled once per composition into one
+    ``itemgetter`` that reads its value straight off the concatenated
+    word, and the loop runs over ``basis.words(n)``.
     """
     _check_ambient(omega, basis)
     _check_cap(basis, n)
     columns = _column_index(
         _blocks_rows([lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n)
     )
-    terms = g.compiled_terms()
-    words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
+    terms = intify(g.coeffs).items()
     for comp in _compositions(n, g.degree):
-        for tup in product(*[words_by_len[m] for m in comp]):
-            if not _orthogonal(((sum(permuted(tup), ()), c) for permuted, c in terms), columns):
+        ends = list(accumulate(comp, initial=0))
+        # The term's value at the composition's tuple, read from the
+        # concatenated word: the positions of x_sigma(1), x_sigma(2), ...
+        compiled = [
+            (_permuter([p for s in sigma for p in range(ends[s - 1] + 1, ends[s] + 1)]), c)
+            for sigma, c in terms
+        ]
+        for word in basis.words(n):
+            if not _orthogonal(((permuted(word), c) for permuted, c in compiled), columns):
                 return False
     return True
 
@@ -818,8 +865,8 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     permutation inverts an odd number of the value pairs in
     ``P(I1) ^ P(I2)``, where ``P(I)`` is the set of pairs inside ``I``.
     With that set of terms as a bit mask ``par``, the sum is the
-    coefficient sum minus twice the coefficients of ``par``; the latter
-    is read off bit-sliced coefficient masks with one ``bit_count`` each.
+    coefficient sum minus twice the coefficients of ``par``, read off
+    ``g``'s :class:`SignTable` (:meth:`SignTable.signed_sum`).
     Distinct pairs of even subsets have distinct pair sets
     ``P(I1) ^ P(I2)`` at every degree up to the cap (tested), so no pair
     repeats the work of another.
@@ -827,19 +874,18 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     d = g.degree
     if d > EE_DEGREE_CAP:
         raise CapExceeded(f"degree {d} exceeds cap {EE_DEGREE_CAP}")
-    scaled = intify(g.coeffs)
-    if not scaled:
-        return True
+    signs = g.sign_table()
     # I1 == I2 gives the plain coefficient sum; with it zero, every other
-    # pair vanishes iff the coefficients of the terms in ``par`` cancel.
-    if sum(scaled.values()):
+    # pair vanishes iff the coefficients of the terms in ``par`` cancel
+    # (the inlined half of :meth:`SignTable.signed_sum`).
+    if signs.total:
         return False
-    weighted = _coefficient_slices(list(scaled.values()))
-    parities = list(_subset_parities(list(scaled), d).values())
+    slices = signs.slices
+    parities = list(_even_subset_parities(signs.columns, d).values())
     for i, par1 in enumerate(parities):
         for par2 in parities[i + 1 :]:
             par = par1 ^ par2
-            if sum(w * (mask & par).bit_count() for w, mask in weighted):
+            if sum(w * (mask & par).bit_count() for w, mask in slices):
                 return False
     return True
 
@@ -863,7 +909,7 @@ def _coefficient_slices(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     positive = [c if c > 0 else 0 for c in coeffs]
     negative = [-c if c < 0 else 0 for c in coeffs]
     for sign, mags in ((1, positive), (-1, negative)):
-        for j in range(max(mags).bit_length()):
+        for j in range(max(mags, default=0).bit_length()):
             out.append((sign << j, _bits([m >> j & 1 for m in mags])))
     return out
 
@@ -874,9 +920,10 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int
     ``f_I(sigma)`` is ``-1`` to the number of value pairs ``a < b``
     inside ``I`` that ``sigma`` inverts, i.e. places ``b`` before ``a``.
     One big-int column per value pair marks the permutations inverting
-    it, and the parity of ``I`` is the XOR of the columns of its pairs.
-    Keys are the subsets ``I`` as increasing tuples, ``()`` included;
-    values have bit ``t`` set when ``f_I(perms[t]) = -1``.
+    it (:func:`_inversion_columns`), and the parity of ``I`` is the XOR
+    of the columns of its pairs (:func:`_even_subset_parities`).  Keys
+    are the subsets ``I`` as increasing tuples, ``()`` included; values
+    have bit ``t`` set when ``f_I(perms[t]) = -1``.
 
     The odd subsets are left out because they add nothing to the span
     ``V`` of the ``f_I``.  *Lemma 1:* for ``I = {i_1 < ... < i_r}`` with
@@ -886,6 +933,25 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int
     ``p_j - j`` mod 2, so the right side is
     ``f_I(sigma) sum_j (-1)^(p_j - 1)``; the ``p_j`` run over ``1..r``,
     and that sum is 1 for odd ``r``.
+    """
+    return _even_subset_parities(_inversion_columns(perms, d), d)
+
+
+def _even_subset_parities(
+    columns: Mapping[tuple[int, int], int], d: int
+) -> dict[tuple[int, ...], int]:
+    """The XOR of the inversion ``columns`` of the pairs inside each
+    even-size subset of ``1..d``, keyed by the subset."""
+    return {
+        sub: reduce(xor, (columns[q] for q in combinations(sub, 2)), 0)
+        for m in range(0, d + 1, 2)
+        for sub in combinations(range(1, d + 1), m)
+    }
+
+
+def _inversion_columns(perms: Sequence[Perm], d: int) -> dict[tuple[int, int], int]:
+    """One big-int column per value pair ``a < b``: bit ``t`` is set when
+    ``perms[t]`` inverts the pair, i.e. places ``b`` before ``a``.
 
     The columns are built from position bit planes: bit ``t`` of
     ``place[v - 1][p]`` is set when ``perms[t]`` puts the value ``v`` at
@@ -905,14 +971,9 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int
         place.append([int(col.translate(digits) or b"0", 2) for col in at_position])
     # earlier[v - 1][q]: perms placing v at some position before q.
     earlier = [list(accumulate(planes[:-1], or_, initial=0)) for planes in place]
-    inverted = {
+    return {
         (a, b): reduce(or_, map(and_, place[a - 1], earlier[b - 1]), 0)
         for a, b in combinations(range(1, d + 1), 2)
-    }
-    return {
-        sub: reduce(xor, (inverted[q] for q in combinations(sub, 2)), 0)
-        for m in range(0, d + 1, 2)
-        for sub in combinations(range(1, d + 1), m)
     }
 
 
@@ -1054,8 +1115,27 @@ def check_annihilation(
     ``p`` inverts the pairs of distinct letters that ``w`` orders unlike
     ``w0``, and a pair of equal odd letters counts in both ``sign(p)``
     and ``f_J(p)``; so up to one sign fixed by ``w0``, the factors are
-    :func:`perm_sign` of ``w``'s odd letters, times ``perm_sign(w)`` in
-    the signed sum.  No twisted action is made.
+    the parity of the strict inversions among ``w``'s odd letters, and
+    in the signed sum also among all of ``w``'s letters.
+
+    Both sums are read off ``g``'s :class:`SignTable`; no value is
+    built.  The term ``sigma`` concatenates the monomials in its order,
+    and it puts monomial ``j`` before monomial ``i < j`` exactly when
+    its bit is set in column ``(i, j)``.  The strict inversions of its
+    word are those inside each monomial, which are ``w0``'s, plus those
+    between each pair of monomials.  Each unequal letter pair between
+    ``i`` and ``j`` is inverted in exactly one of their two orders, so
+    putting ``j`` first changes the parity of the inversions between
+    them by the number of unequal letter pairs.  So, up to the sign of
+    ``w0``, a term's factor in the full sum is ``-1`` to the number of
+    its inverted monomial pairs with an odd count of unequal odd-letter
+    pairs, and in the signed sum to those with an odd count of unequal
+    pairs plus unequal odd-letter pairs.  Each sum is the coefficient
+    total minus twice the coefficients under the XOR of those columns
+    (:meth:`SignTable.signed_sum`).  No twisted action is made, and the
+    work is one table per polynomial and ``C(d, 2)`` monomial pairs per
+    call, so ``DEGREE_CAP`` no longer bounds it; the cap still refuses a
+    value of total degree above it.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
@@ -1068,11 +1148,15 @@ def check_annihilation(
     if len(w0) > DEGREE_CAP:
         raise CapExceeded(f"total degree {len(w0)} exceeds cap {DEGREE_CAP}")
     k = basis.k
-    full = signed = 0
-    for w, c in _substitute(g, words).items():
-        term = c * perm_sign(tuple(z for z in w if z > k))
-        full += term
-        signed += term * perm_sign(w)
+    signs = g.sign_table()
+    full_flips = signed_flips = 0
+    for (i, j), column in signs.columns.items():
+        unequal = [(x, y) for x in words[i - 1] for y in words[j - 1] if x != y]
+        odd = sum(x > k and y > k for x, y in unequal)
+        if odd & 1:
+            full_flips ^= column
+        if (len(unequal) + odd) & 1:
+            signed_flips ^= column
     repeats = [z for z, m in Counter(w0).items() if m > 1]
-    full_killed = not full or any(z > k for z in repeats)
-    return full_killed and (not signed or any(z <= k for z in repeats))
+    full_killed = any(z > k for z in repeats) or not signs.signed_sum(full_flips)
+    return full_killed and (any(z <= k for z in repeats) or not signs.signed_sum(signed_flips))

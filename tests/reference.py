@@ -5,7 +5,8 @@ shares none of the package's shortcuts: standard tableaux by corner
 removal, ``(k,l)``-semistandard tableaux by counting the oracle's list,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
 listing their groups, membership in an ideal slice by echelon
-reduction against the span of the member blocks, the rank of the E⊗E
+reduction against the span of the member blocks, annihilation by the
+total symmetrizers on the whole substituted value, the rank of the E⊗E
 identity constraints one character at a time, and the size of a shape
 below its first row.
 They are meant for small inputs only.
@@ -13,25 +14,26 @@ They are meant for small inputs only.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 from typing import Sequence
 
 from filteralg import oracle
-from filteralg.linalg import EchelonBasis, add_terms, dense_rank
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.filters import Filter
 from filteralg.oracle import (
     CapExceeded,
     MultilinearPoly,
     Perm,
     SuperBasis,
+    Word,
     _blocks_span,
     _check_cap,
     _compositions,
     _ee_symmetries,
     _group_order,
-    _substitute,
     _super_tableaux,
     _tableau_blocks,
     _walsh_hadamard,
@@ -176,7 +178,40 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Identity and ideal verdicts on the span of the member blocks.
+# Identity, ideal and annihilation verdicts on whole values.
+
+
+def _substitute(g: MultilinearPoly, words: Sequence[Word]) -> dict:
+    """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at
+    ``x_i = words[i-1]``, with the coefficients scaled to integers as in
+    :meth:`~filteralg.oracle.MultilinearPoly.int_coeffs`."""
+    return add_terms(
+        {},
+        (
+            (tuple(chain.from_iterable(words[s - 1] for s in sigma)), c)
+            for sigma, c in intify(g.coeffs).items()
+        ),
+    )
+
+
+def check_annihilation_by_value(
+    g: MultilinearPoly, monomials: Sequence[Word], basis: SuperBasis
+) -> bool:
+    """``check_annihilation`` with the value ``g(monomials)`` built and
+    each of its words signed by :func:`perm_sign`: the full sum weighs a
+    word by the sign of its odd letters, the signed sum also by its own
+    sign, and a repeated odd (even) letter of the concatenated monomials
+    kills the full (signed) sum."""
+    words = [tuple(m) for m in monomials]
+    k = basis.k
+    full = signed = 0
+    for w, c in _substitute(g, words).items():
+        term = c * perm_sign(tuple(z for z in w if z > k))
+        full += term
+        signed += term * perm_sign(w)
+    repeats = [z for z, m in Counter(chain.from_iterable(words)).items() if m > 1]
+    full_killed = not full or any(z > k for z in repeats)
+    return full_killed and (not signed or any(z <= k for z in repeats))
 
 
 def evaluate_identity_by_span(

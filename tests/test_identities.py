@@ -21,13 +21,20 @@ from filteralg.oracle import (
     is_identity_EE,
     multilinearize,
     named_poly,
+    perm_sign,
     popov5a,
     popov5b,
     s3_cubed,
     standard_poly,
     star_group_algebra,
 )
-from reference import compose, ee_ranks_by_character, full_symmetrizer, sign_symmetrizer
+from reference import (
+    check_annihilation_by_value,
+    compose,
+    ee_ranks_by_character,
+    full_symmetrizer,
+    sign_symmetrizer,
+)
 
 B11 = SuperBasis(1, 1)
 
@@ -43,8 +50,8 @@ def test_multilinearize_shapes():
 
 
 def test_poly_coefficients_are_read_only():
-    # The compiled terms are built from the coefficients once, so the
-    # coefficients cannot change under them.
+    # The sign table is built from the coefficients once, so the
+    # coefficients cannot change under it.
     g = commutator_product(1)
     with pytest.raises(AttributeError):
         g.coeffs = {(1, 2): 5}
@@ -53,7 +60,14 @@ def test_poly_coefficients_are_read_only():
     with pytest.raises(TypeError):
         del g.coeffs[(1, 2)]
     assert dict(g.coeffs) == {(1, 2): 1, (2, 1): -1}
-    assert g.compiled_terms() is g.compiled_terms()
+    assert g.sign_table() is g.sign_table()
+
+
+def test_standard_poly_signs_are_perm_signs():
+    # standard_poly reads each sign off the term's Lehmer code.
+    for d in range(8):
+        expected = {p: perm_sign(p) for p in permutations(range(1, d + 1))}
+        assert dict(standard_poly(d).coeffs) == expected
 
 
 def test_multilinearize_rejects_inhomogeneous():
@@ -423,7 +437,7 @@ def test_annihilation_makes_no_twisted_action(monkeypatch):
 
 
 def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
-    # Verdicts on one polynomial object reuse its compiled terms; each
+    # Verdicts on one polynomial object reuse its sign table; each
     # must equal the verdict on a freshly built copy.
     cases = [
         (popov5a, B11, list(product([(1,), (2,)], repeat=5)) + [[(1, 2), (1,), (2,), (1,), (2,)]]),
@@ -440,6 +454,51 @@ def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
             assert verdict == check_annihilation(make(), tup, basis), tup
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_annihilation_matches_the_value_sign_sum():
+    # Every monomial tuple of total degree at most 6: the sign sums read
+    # off the inversion columns equal those of the built value.
+    polys = [
+        standard_poly(3), standard_poly(4), commutator_product(1), commutator_product(2), popov5b()
+    ]
+    verdicts = set()
+    for basis in (SuperBasis(2, 0), SuperBasis(0, 2), B11, SuperBasis(2, 1)):
+        for g in polys:
+            for n in range(g.degree, 7):
+                for word in basis.words(n):
+                    for cuts in combinations(range(1, n), g.degree - 1):
+                        ends = (0, *cuts, n)
+                        tup = [word[a:b] for a, b in zip(ends, ends[1:])]
+                        verdict = check_annihilation(g, tup, basis)
+                        assert verdict == check_annihilation_by_value(g, tup, basis), (basis, g, tup)
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_ee_and_annihilation_share_one_sign_table(monkeypatch):
+    # The inversion columns are built once per polynomial, whichever
+    # verdict asks first.
+    builds = []
+    build = oracle._inversion_columns
+
+    def counted(perms, d):
+        builds.append(d)
+        return build(perms, d)
+
+    monkeypatch.setattr(oracle, "_inversion_columns", counted)
+    g = popov5b()
+    assert is_identity_EE(g)
+    assert check_annihilation(g, [(1,), (2,), (1,), (2,), (2,)], B11)
+    assert check_annihilation(g, [(1, 2), (2,), (1,), (2,), (1,)], B11)
+    assert builds == [5]
+
+
+def test_zero_polynomial_passes_both_verdicts():
+    # Its sign table has no terms and no coefficient slices.
+    zero = MultilinearPoly(3, {(1, 2, 3): 0})
+    assert is_identity_EE(zero)
+    assert check_annihilation(zero, [(1,), (2,), (3,)], SuperBasis(3, 0))
 
 
 def test_annihilation_input_validation():
