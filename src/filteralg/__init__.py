@@ -32,7 +32,6 @@ from .oracle import (
     commutator_product,
     ee_identity_kernel_dim,
     evaluate_identity,
-    f_I,
     generated_ideal,
     ideal_subspace,
     is_identity_EE,
@@ -45,7 +44,6 @@ from .oracle import (
     s3_cubed,
     standard_poly,
     standard_tableau,
-    star_action,
 )
 
 __version__ = "0.1.0"

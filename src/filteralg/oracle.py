@@ -24,10 +24,7 @@ index the rows of every other block by column once per call, add each
 vector's terms into one sum per row, and call the vector a member iff
 every sum is 0.  They never build the span of the member blocks.  Hard
 caps keep the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
-``FILTERALG_DIM_CAP`` when that is set), and :func:`check_annihilation`
-refuses a value of total degree above ``DEGREE_CAP = 7``, although its
-work (one sign table per polynomial, ``C(d, 2)`` monomial pairs per
-call) does not grow with that degree.  The EE criterion
+``FILTERALG_DIM_CAP`` when that is set).  The EE criterion
 (:func:`is_identity_EE`, on the pairs of even-size subsets) is decided
 exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
 dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
@@ -36,8 +33,11 @@ abelian symmetry group of the ``f_I``, each over one column per orbit
 of that group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 6``.  Each
 function reads its cap from the module (and the environment) when it
 is called.  Exceeding a cap raises :class:`CapExceeded`, never
-approximates.  The fully listed Young symmetrizers that the tests check
-:func:`module_W` against live in ``tests/reference.py``.
+approximates.  :func:`check_annihilation` has no cap: its work is one
+sign table per polynomial and the letter pairs of ``C(d, 2)`` monomial
+pairs per call, whatever the total degree.  The fully listed Young
+symmetrizers that the tests check :func:`module_W` against live in
+``tests/reference.py``, with their own cap.
 
 A sum over a Young subgroup ``G`` (the permutations preserving some
 blocks of positions) runs over the orbit of a word under ``G``, one
@@ -98,7 +98,6 @@ from .partitions import (
 )
 
 DIM_CAP = 4096
-DEGREE_CAP = 7
 EE_DEGREE_CAP = 9
 KERNEL_DEGREE_CAP = 6
 
@@ -265,15 +264,14 @@ def star_action(vec: dict, sigma: Perm, basis: SuperBasis) -> dict:
 # Young subgroups of a tableau.
 
 
-def _tableau_blocks(rows: Sequence[Sequence[int]]) -> tuple[Sequence, list]:
-    """Row blocks and column blocks of a tableau filling.
+def _columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The column blocks of a tableau filling given by its rows.
 
     The row group ``R`` and the column group ``C`` are the permutations
-    preserving each row block, respectively each column block, setwise.
+    preserving each row, respectively each column, setwise.
     """
     ncols = max((len(r) for r in rows), default=0)
-    cols = [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
-    return rows, cols
+    return [[row[j] for row in rows if len(row) > j] for j in range(ncols)]
 
 
 def standard_tableau(lam: Partition) -> list[list[int]]:
@@ -354,8 +352,8 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
 @lru_cache(maxsize=None)
 def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     n = sum(lam)
-    tableau = standard_tableau(lam)
-    rows, cols = _tableau_blocks(tableau)
+    rows = standard_tableau(lam)
+    cols = _columns(rows)
     rows_first = _group_order(rows) >= _group_order(cols)
     first, second = (rows, cols) if rows_first else (cols, rows)
     second_sum = [
@@ -371,7 +369,7 @@ def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
     block = EchelonBasis()
     for filling in _standard_tableaux(lam):
         # sigma_S: each entry of S goes to the entry of T in the same cell.
-        cell = dict(zip(chain.from_iterable(filling), chain.from_iterable(tableau)))
+        cell = dict(zip(chain.from_iterable(filling), chain.from_iterable(rows)))
         translate = [(*_compiled(tuple(cell[i] for i in range(1, n + 1))), 1)]
         for u in seeds:
             if not block.insert(_star_compiled(u, translate, k)):
@@ -576,8 +574,9 @@ class MultilinearPoly:
 
     def __init__(self, degree: int, coeffs: Mapping):
         clean = {}
+        values = list(range(1, degree + 1))
         for sigma, c in coeffs.items():
-            if sorted(sigma) != list(range(1, degree + 1)):
+            if sorted(sigma) != values:
                 raise ValueError(f"{sigma} is not a permutation of 1..{degree}")
             if c:
                 clean[tuple(sigma)] = c
@@ -590,15 +589,10 @@ class MultilinearPoly:
         """The nonzero coefficients by permutation (read-only)."""
         return self._coeffs
 
-    def int_coeffs(self) -> list[tuple[Perm, int]]:
-        """Coefficients scaled by the common denominator (identity-equivalent)."""
-        scaled = intify(self.coeffs)
-        return sorted(scaled.items())
-
     def sign_table(self) -> SignTable:
         """The terms' :class:`SignTable`, built on the first call.
 
-        The coefficients are scaled to integers as in :meth:`int_coeffs`
+        The coefficients are scaled to integers by ``intify``
         (identity-equivalent), and term ``t`` is the ``t``-th of them.
         """
         if self._signs is None:
@@ -1133,9 +1127,9 @@ def check_annihilation(
     pairs plus unequal odd-letter pairs.  Each sum is the coefficient
     total minus twice the coefficients under the XOR of those columns
     (:meth:`SignTable.signed_sum`).  No twisted action is made, and the
-    work is one table per polynomial and ``C(d, 2)`` monomial pairs per
-    call, so ``DEGREE_CAP`` no longer bounds it; the cap still refuses a
-    value of total degree above it.
+    work is one table per polynomial and the letter pairs of the
+    ``C(d, 2)`` monomial pairs per call, so a value of any total degree
+    is decided.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
@@ -1145,8 +1139,6 @@ def check_annihilation(
     w0 = sum(words, ())
     for z in w0:
         basis.parity(z)
-    if len(w0) > DEGREE_CAP:
-        raise CapExceeded(f"total degree {len(w0)} exceeds cap {DEGREE_CAP}")
     k = basis.k
     signs = g.sign_table()
     full_flips = signed_flips = 0

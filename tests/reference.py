@@ -20,7 +20,6 @@ from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 from typing import Sequence
 
-from filteralg import oracle
 from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.filters import Filter
 from filteralg.oracle import (
@@ -31,11 +30,11 @@ from filteralg.oracle import (
     Word,
     _blocks_span,
     _check_cap,
+    _columns,
     _compositions,
     _ee_symmetries,
     _group_order,
     _super_tableaux,
-    _tableau_blocks,
     _walsh_hadamard,
     f_I,
     ideal_subspace,
@@ -151,24 +150,28 @@ def sign_symmetrizer(n: int) -> dict:
     return _group_sum([range(1, n + 1)], n, signed=True)
 
 
+# The symmetrizers list at most LISTING_CAP! permutations.
+LISTING_CAP = 7
+
+
 def _check_group_cap(*block_lists: Sequence[Sequence[int]]) -> None:
-    """Refuse to list more than ``DEGREE_CAP!`` permutations: the product
+    """Refuse to list more than ``LISTING_CAP!`` permutations: the product
     of the orders of the block groups is checked before any is built."""
     order = prod(_group_order(blocks) for blocks in block_lists)
-    if order > factorial(oracle.DEGREE_CAP):
-        raise CapExceeded(f"group order {order} exceeds cap {oracle.DEGREE_CAP}!")
+    if order > factorial(LISTING_CAP):
+        raise CapExceeded(f"group order {order} exceeds cap {LISTING_CAP}!")
 
 
 def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
     """Row sum times signed column sum for a bijective tableau filling.
 
     Raises :class:`CapExceeded` before enumerating when ``|R| * |C|``,
-    the number of products formed, is above ``DEGREE_CAP!``.
+    the number of products formed, is above ``LISTING_CAP!``.
     """
     entries = [e for row in rows for e in row]
     if sorted(entries) != list(range(1, len(entries) + 1)):
         raise ValueError("tableau must be a bijective filling with 1..n")
-    rows, cols = _tableau_blocks(rows)
+    cols = _columns(rows)
     n = len(entries)
     _check_group_cap(rows, cols)
     rplus = _group_sum(rows, n, signed=False)
@@ -183,8 +186,8 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
 
 def _substitute(g: MultilinearPoly, words: Sequence[Word]) -> dict:
     """The value of ``sum c_sigma x_sigma(1) ... x_sigma(d)`` at
-    ``x_i = words[i-1]``, with the coefficients scaled to integers as in
-    :meth:`~filteralg.oracle.MultilinearPoly.int_coeffs`."""
+    ``x_i = words[i-1]``, with the coefficients scaled to integers by
+    :func:`~filteralg.linalg.intify`."""
     return add_terms(
         {},
         (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from filteralg import oracle
-from filteralg.linalg import EchelonBasis, add_terms, dense_rank
+from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.oracle import (
     _ee_symmetries,
     _subset_parities,
@@ -70,6 +70,13 @@ def test_standard_poly_signs_are_perm_signs():
         assert dict(standard_poly(d).coeffs) == expected
 
 
+def test_poly_terms_must_be_permutations():
+    # A short tuple, a repeated value and a value outside 1..d.
+    for sigma in [(1, 2), (1, 2, 2), (1, 2, 4)]:
+        with pytest.raises(ValueError):
+            MultilinearPoly(3, {(1, 2, 3): 1, sigma: 1})
+
+
 def test_multilinearize_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         multilinearize({(0, 1): 1, (0, 0): 1})
@@ -120,7 +127,7 @@ def _subsets(d):
 
 def _direct_verdict(g):
     """The criterion summed term by term from ``f_I`` values: the old path."""
-    items = g.int_coeffs()
+    items = intify(g.coeffs).items()
     fvals = [[f_I(sigma, sub) for sigma, _ in items] for sub in _subsets(g.degree)]
     for i, f1 in enumerate(fvals):
         for f2 in fvals[i:]:
@@ -438,13 +445,12 @@ def test_annihilation_makes_no_twisted_action(monkeypatch):
 
 def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
     # Verdicts on one polynomial object reuse its sign table; each
-    # must equal the verdict on a freshly built copy.
+    # must equal the verdict on a freshly built copy and the reference's.
     cases = [
         (popov5a, B11, list(product([(1,), (2,)], repeat=5)) + [[(1, 2), (1,), (2,), (1,), (2,)]]),
         (lambda: standard_poly(4), SuperBasis(4, 0), list(product([(1,), (2,), (3,), (4,)], repeat=4))),
-        (lambda: commutator_product(2), SuperBasis(2, 1), [
-            tup for tup in product([(1,), (3,), (2, 3)], repeat=4) if sum(map(len, tup)) <= 7
-        ]),
+        # Total degrees 4 to 8.
+        (lambda: commutator_product(2), SuperBasis(2, 1), list(product([(1,), (3,), (2, 3)], repeat=4))),
     ]
     verdicts = set()
     for make, basis, tuples in cases:
@@ -452,6 +458,7 @@ def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
         for tup in tuples:
             verdict = check_annihilation(g, tup, basis)
             assert verdict == check_annihilation(make(), tup, basis), tup
+            assert verdict == check_annihilation_by_value(g, tup, basis), tup
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -505,16 +512,34 @@ def test_annihilation_input_validation():
     g = standard_poly(4)
     with pytest.raises(ValueError):
         check_annihilation(g, [(1,), (2,)], B11)
-    with pytest.raises(CapExceeded):
-        check_annihilation(g, [(1, 1), (1, 1), (1, 1), (1, 1)], B11)
+    with pytest.raises(ValueError):
+        check_annihilation(g, [(1,), (2,), (), (1,)], B11)
+    with pytest.raises(ValueError):
+        check_annihilation(g, [(1,), (2,), (3,), (1,)], B11)
+    # Total degree 8 gets a verdict.
+    tup = [(1, 1), (1, 1), (1, 1), (1, 1)]
+    assert check_annihilation(g, tup, B11) == check_annihilation_by_value(g, tup, B11)
 
 
-def test_annihilation_uses_its_own_degree_cap(monkeypatch):
-    # Total degree 8 is refused at the default cap, but check_annihilation
-    # reads the cap when it is called and never lists S_8: a repeated odd
-    # letter kills the full sum and a repeated even letter the signed one.
-    word = (1, 2, 1, 2, 1, 2, 1, 2)
-    with pytest.raises(CapExceeded):
-        check_annihilation(standard_poly(1), [word], B11)
-    monkeypatch.setattr(oracle, "DEGREE_CAP", 8)
-    assert check_annihilation(standard_poly(1), [word], B11)
+def test_annihilation_at_any_total_degree():
+    # Total degrees 8 to 40, far past any listing of S_n.  Distinct
+    # letters leave both verdicts to the sign sums; letters drawn with
+    # repeats also reach the rules for a repeated odd or even letter.
+    assert check_annihilation(standard_poly(1), [(1, 2, 1, 2, 1, 2, 1, 2)], B11)
+    rng = random.Random(29)
+    polys = [standard_poly(3), standard_poly(4), commutator_product(2), popov5b(), br_cube()]
+    verdicts = set()
+    for n in range(8, 41):
+        basis = SuperBasis(n // 2, n - n // 2)
+        for g in polys:
+            for distinct in (True, False):
+                if distinct:
+                    w0 = rng.sample(basis.letters, n)
+                else:
+                    w0 = rng.choices(basis.letters, k=n)
+                ends = (0, *sorted(rng.sample(range(1, n), g.degree - 1)), n)
+                tup = [tuple(w0[a:b]) for a, b in zip(ends, ends[1:])]
+                verdict = check_annihilation(g, tup, basis)
+                assert verdict == check_annihilation_by_value(g, tup, basis), (n, g, tup)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from filteralg.dims import f_lambda, schur_dim, w_dim
 from filteralg.filters import Filter
-from filteralg.linalg import EchelonBasis
+from filteralg.linalg import EchelonBasis, intify
 from filteralg.oracle import (
-    DEGREE_CAP,
     CapExceeded,
     MultilinearPoly,
     Perm,
@@ -37,6 +36,7 @@ from filteralg.oracle import (
 )
 from filteralg.partitions import contains, enumerate_partitions, in_hook
 from reference import (
+    LISTING_CAP,
     c_stat,
     check_ideal_by_span,
     compose,
@@ -122,11 +122,11 @@ def test_symmetrizers_refuse_groups_above_the_cap():
     with pytest.raises(CapExceeded):
         tableau_symmetrizer([[1, 2, 3, 4], [5, 6, 7, 8]])  # |R| * |C| = 9216
     with pytest.raises(CapExceeded):
-        full_symmetrizer(DEGREE_CAP + 1)
+        full_symmetrizer(LISTING_CAP + 1)
     with pytest.raises(CapExceeded):
         sign_symmetrizer(12)
     assert time.perf_counter() - start < 5
-    assert len(full_symmetrizer(DEGREE_CAP)) == factorial(DEGREE_CAP)
+    assert len(full_symmetrizer(LISTING_CAP)) == factorial(LISTING_CAP)
 
 
 def test_antisymmetrizer_pins_the_odd_sign():
@@ -503,7 +503,7 @@ def test_commutator_products_avoid_shallow_blocks():
         for j, n in [(2, 4), (2, 5)]:
             deep = _span_c_at_least(basis, n, j)
             g = commutator_product(j)
-            items = g.int_coeffs()
+            items = intify(g.coeffs).items()
             from filteralg.oracle import _compositions
 
             for comp in _compositions(n, 2 * j):

@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "ee_identity_kernel_dim",
     "enumerate_partitions",
     "evaluate_identity",
-    "f_I",
     "f_lambda",
     "format_partition",
     "generated_ideal",
@@ -49,13 +48,12 @@ PUBLIC_NAMES = {
     "series",
     "standard_poly",
     "standard_tableau",
-    "star_action",
     "verify_growth",
     "w_dim",
 }
 
-# Test references (now in tests/reference.py) and deleted wrappers, by the
-# module that used to define them.
+# Test references (now in tests/reference.py), deleted wrappers and caps,
+# by the module that used to define them.
 GONE = {
     "partitions": ["c_stat"],
     "lr": ["count_lr_tableaux"],
@@ -66,7 +64,13 @@ GONE = {
         "iter_super_tableaux",
         "schur_dim_by_enumeration",
     ],
-    "oracle": ["compose", "full_symmetrizer", "sign_symmetrizer", "tableau_symmetrizer"],
+    "oracle": [
+        "DEGREE_CAP",
+        "compose",
+        "full_symmetrizer",
+        "sign_symmetrizer",
+        "tableau_symmetrizer",
+    ],
 }
 
 
