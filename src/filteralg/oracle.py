@@ -28,9 +28,10 @@ caps keep the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
 (:func:`is_identity_EE`, on the pairs of even-size subsets) is decided
 exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
 dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
-ranks of ``2 * (d//2 + 1)`` blocks, one per class of characters of an
-abelian symmetry group of the ``f_I``, each over one column per orbit
-of that group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 6``.  Each
+ranks of two blocks for each of ``2 * (d//2 + 1)`` classes of
+characters of an abelian symmetry group of the ``f_I``, split by a swap
+of two value pairs that fixes the class, each over about half of the
+orbits of that group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 7``.  Each
 function reads its cap from the module (and the environment) when it
 is called.  Exceeding a cap raises :class:`CapExceeded`, never
 approximates.  :func:`check_annihilation` has no cap: its work is one
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
-from operator import and_, itemgetter, or_, xor
+from operator import and_, itemgetter, mul, or_, xor
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -99,7 +100,7 @@ from .partitions import (
 
 DIM_CAP = 4096
 EE_DEGREE_CAP = 9
-KERNEL_DEGREE_CAP = 6
+KERNEL_DEGREE_CAP = 7
 
 
 class CapExceeded(RuntimeError):
@@ -484,20 +485,6 @@ def _column_index(rows: Iterable[dict]) -> dict[Word, list[tuple[int, int]]]:
     return columns
 
 
-def _orthogonal(terms: Iterable[tuple[Word, int]], columns: dict) -> bool:
-    """Whether the vector ``sum c * w`` over ``terms`` has dot product 0
-    with every row of the :func:`_column_index` ``columns``.
-
-    The terms are added straight into per-row sums, so a word may repeat
-    and the vector is never built.
-    """
-    sums: dict = {}
-    for w, c in terms:
-        for r, a in columns.get(w, ()):
-            sums[r] = sums.get(r, 0) + c * a
-    return not any(sums.values())
-
-
 def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     """Decide whether the blocks of the given shapes form a two-sided ideal.
 
@@ -517,18 +504,23 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
         sources = _blocks_rows([lam for lam in members if sum(lam) == n], basis, n)
         if not sources:
             continue
-        columns = _column_index(
+        get = _column_index(
             _blocks_rows(
                 [lam for lam in enumerate_partitions(n + 1) if lam not in members],
                 basis,
                 n + 1,
             )
-        )
+        ).get
         for row in sources:
             for z in basis.letters:
-                left = (((z,) + w, c) for w, c in row.items())
-                right = ((w + (z,), c) for w, c in row.items())
-                if not _orthogonal(left, columns) or not _orthogonal(right, columns):
+                left: dict = {}
+                right: dict = {}
+                for w, c in row.items():
+                    for r, a in get((z,) + w, ()):
+                        left[r] = left.get(r, 0) + c * a
+                    for r, a in get(w + (z,), ()):
+                        right[r] = right.get(r, 0) + c * a
+                if any(left.values()) or any(right.values()):
                     return False
     return True
 
@@ -825,9 +817,9 @@ def evaluate_identity(
     """
     _check_ambient(omega, basis)
     _check_cap(basis, n)
-    columns = _column_index(
+    get = _column_index(
         _blocks_rows([lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n)
-    )
+    ).get
     terms = intify(g.coeffs).items()
     for comp in _compositions(n, g.degree):
         ends = list(accumulate(comp, initial=0))
@@ -838,7 +830,11 @@ def evaluate_identity(
             for sigma, c in terms
         ]
         for word in basis.words(n):
-            if not _orthogonal(((permuted(word), c) for permuted, c in compiled), columns):
+            sums: dict = {}
+            for permuted, c in compiled:
+                for r, a in get(permuted(word), ()):
+                    sums[r] = sums.get(r, 0) + c * a
+            if any(sums.values()):
                 return False
     return True
 
@@ -885,6 +881,7 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_LANES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits(flags: Sequence[bool]) -> int:
@@ -994,11 +991,17 @@ def ee_identity_kernel_dim(d: int) -> int:
     per ``G``-orbit, so each ``R_theta`` is ranked on those columns only.
 
     Each orbit is listed in group-element order (bit ``j`` of the index
-    applies generator ``j``), so one Walsh--Hadamard transform of a
-    sign row over an orbit gives its projection onto every ``V_chi`` at
-    the orbit's first word.  An orbit with a nontrivial stabiliser
-    lists its words more than once, and the characters that are not
-    trivial on the stabiliser get 0 there, as they must.  A swap sends
+    applies generator ``j``), so the Walsh--Hadamard transform ``sum_g
+    chi(g) f_I(g sigma_o)`` of a sign row over an orbit gives its
+    projection onto every ``V_chi`` at the orbit's first word.  An orbit
+    with a nontrivial stabiliser lists its words more than once, and the
+    characters that are not trivial on the stabiliser get 0 there, as
+    they must.  The transform is read off counts of ``-1`` signs held in
+    one byte lane per orbit: with ``count_o`` of them over ``G`` and
+    ``kept_o`` over the kernel of ``chi``, it is ``|G| [chi = 1] +
+    2 count_o - 4 kept_o``.  So each character costs one sum of lane
+    ints, and a transform that is 0 at every orbit is dropped by one
+    comparison of ints, before its row is built.  A swap sends
     ``f_I`` to ``+-f_J`` with ``J`` the swapped subset, whose
     projections are those of ``f_I`` up to sign, so ``V_chi`` is spanned
     by the nonzero transforms of one even subset per swap orbit: the
@@ -1015,6 +1018,26 @@ def ee_identity_kernel_dim(d: int) -> int:
     counted ``C(m, w)`` times: ``2(m+1)`` dense ranks instead of
     ``2^(m+1)``, 8 instead of 16 at ``d = 6``.
 
+    *Lemma 3:* let ``pi`` swap two pairs whose bits in ``theta`` agree
+    (:func:`_ee_class_ranks` picks them), so ``theta o pi = theta`` and
+    ``T: h -> h o pi`` maps ``R_theta`` onto itself.  ``T`` is an
+    involution, so ``R_theta`` is the direct sum of its images under
+    ``1 + T`` and ``1 - T``, and its rank is the sum of theirs.  On the
+    columns ``T`` is a signed permutation: if ``pi o sigma_o = g
+    sigma_o2`` then column ``o`` of ``h o pi`` is ``theta(g)`` times
+    column ``o2`` of ``h``, with ``o2`` and ``g`` read off the first
+    occurrence of ``pi o sigma_o`` in the orbit listing.  (A column whose
+    stabiliser ``theta`` does not fix is 0 in every row, whatever ``g``
+    is taken.)  The two images are ranked on one column per couple
+    ``{o, o2}``, ``h[o] +- theta(g) h[o2]``, and the fixed columns whose
+    sign matches: about half the columns each, 27 + 21 of 48 at ``d =
+    6``.  ``T`` maps ``V_chi`` onto ``V_chi'``, ``'`` swapping the two
+    bits, so the images of ``V_chi' * V_psi'`` are those of ``V_chi *
+    V_psi`` up to sign, and one ``(chi, psi)`` per couple is multiplied
+    out.  A ``theta`` with no two equal swap bits (``d <= 3``, or ``w =
+    1`` at ``d = 4, 5``) takes ``pi`` the identity: the ``1 - T`` image
+    is 0 and the ``1 + T`` image is ``R_theta``.
+
     For ``1 <= d <= 7``, and at ``d = 8`` (34,132, an earlier rank), the
     value is ``d! - c_d`` with ``c_d = C(2d, d)/2 - 2^d + d + 1``: a
     candidate codimension sequence of E⊗E, fitted, not proven.
@@ -1022,6 +1045,18 @@ def ee_identity_kernel_dim(d: int) -> int:
     d = check_size(d, "d")
     if d > KERNEL_DEGREE_CAP:
         raise CapExceeded(f"degree {d} exceeds cap {KERNEL_DEGREE_CAP}")
+    m = d // 2
+    ranks = _ee_class_ranks(d)
+    return factorial(d) - sum(
+        comb(m, (theta & ((1 << m) - 1)).bit_count()) * rank for theta, rank in ranks.items()
+    )
+
+
+def _ee_class_ranks(d: int) -> dict[int, int]:
+    """The rank of ``R_theta`` for one character ``theta`` per class of
+    :func:`ee_identity_kernel_dim` (Lemma 2), keyed by ``theta``: the
+    first ``w`` swap bits set for each ``w <= d // 2``, with and without
+    the reversal bit.  Each is ranked as two blocks (Lemma 3)."""
     gens = _ee_symmetries(d)
     size = 1 << len(gens)
     words, seen = [], set()
@@ -1034,45 +1069,68 @@ def ee_identity_kernel_dim(d: int) -> int:
             words += orbit
     n = len(words)
     m = d // 2
+    orbits = n // size
+    ones = int.from_bytes(b"\x01" * orbits, "little")
+    kernels = [[g for g in range(size) if not (chi & g).bit_count() & 1] for chi in range(size)]
     rows: list[list[list[int]]] = [[] for _ in range(size)]
     for sub, par in _subset_parities(words, d).items():
         if any(2 * i in sub and 2 * i - 1 not in sub for i in range(1, m + 1)):
             continue
-        bits = format(par, f"0{n}b")[::-1]
-        # Row g holds the signs at the g-th word of every orbit.
-        signs = [[-1 if b == "1" else 1 for b in bits[g::size]] for g in range(size)]
-        for chi, row in enumerate(_walsh_hadamard(signs)):
-            if any(row):
-                rows[chi].append(row)
-    rank = 0
+        bits = format(par, f"0{n}b")[::-1].encode().translate(_LANES)
+        # Byte o of plane g is 1 when f_I is -1 at the g-th word of orbit o.
+        # No lane below exceeds 4 |G| (64 at d = 7), so none carries.
+        planes = [int.from_bytes(bits[g::size], "little") for g in range(size)]
+        count = sum(planes)
+        doubled = [2 * c for c in count.to_bytes(orbits, "little")]
+        for chi, kernel in enumerate(kernels):
+            base = size if chi == 0 else 0
+            kept = sum(planes[g] for g in kernel)
+            if 4 * kept != 2 * count + base * ones:
+                kept_bytes = kept.to_bytes(orbits, "little")
+                rows[chi].append([base + c - 4 * k for c, k in zip(doubled, kept_bytes)])
+    first: dict[Perm, int] = {}
+    for i, sigma in enumerate(words):
+        first.setdefault(sigma, i)
+    # (o2, g) with pi o sigma_o = g sigma_o2, for each orbit o, by swap.
+    moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    ranks = {}
     for w, reversal in product(range(m + 1), (0, 1)):
         theta = (1 << w) - 1 | reversal << m
+        # pi swaps the pairs of swap bits a and b, where theta agrees;
+        # with no such bits a == b and pi is the identity.
+        a, b = (0, 1) if w >= 2 else (m - 2, m - 1) if w <= m - 2 else (0, 0)
+        if (a, b) not in moves:
+            va, vb = 2 * a + 1, 2 * b + 1
+            pi = {va: vb, va + 1: vb + 1, vb: va, vb + 1: va + 1}
+            moves[a, b] = [
+                divmod(first[tuple(pi.get(v, v) for v in words[o])], size)
+                for o in range(0, n, size)
+            ]
+        couples = [
+            (o, o2, -1 if (theta & g).bit_count() & 1 else 1)
+            for o, (o2, g) in enumerate(moves[a, b])
+            if o <= o2
+        ]
+        plus = [(o, o2, s) for o, o2, s in couples if o < o2 or s > 0]
+        minus = [(o, o2, -s) for o, o2, s in couples if o < o2 or s < 0]
+        flip = 1 << a | 1 << b
         products = []
         for chi in range(size):
             psi = chi ^ theta
             if psi < chi:
                 continue
+            # V_chi * V_psi and its image under pi project alike.
+            chi2, psi2 = (x ^ flip if (x >> a ^ x >> b) & 1 else x for x in (chi, psi))
+            if (chi, psi) > (min(chi2, psi2), max(chi2, psi2)):
+                continue
             for i, u in enumerate(rows[chi]):
                 for v in rows[psi][i:] if psi == chi else rows[psi]:
-                    products.append([x * y for x, y in zip(u, v)])
-        rank += comb(m, w) * dense_rank(products)
-    return factorial(d) - rank
-
-
-def _walsh_hadamard(rows: list[list[int]]) -> list[list[int]]:
-    """Row ``chi`` of the result is ``sum_g (-1)^popcount(chi & g) rows[g]``.
-
-    ``len(rows)`` must be a power of two; the butterflies run in place.
-    """
-    h = 1
-    while h < len(rows):
-        for i in range(0, len(rows), 2 * h):
-            for j in range(i, i + h):
-                a, b = rows[j], rows[j + h]
-                rows[j] = [x + y for x, y in zip(a, b)]
-                rows[j + h] = [x - y for x, y in zip(a, b)]
-        h *= 2
-    return rows
+                    products.append(list(map(mul, u, v)))
+        ranks[theta] = sum(
+            dense_rank([[p[o] + s * p[o2] for o, o2, s in cols] for p in products])
+            for cols in (plus, minus)
+        )
+    return ranks
 
 
 def _ee_symmetries(d: int) -> list[Callable[[Perm], Perm]]:
@@ -1129,7 +1187,8 @@ def check_annihilation(
     (:meth:`SignTable.signed_sum`).  No twisted action is made, and the
     work is one table per polynomial and the letter pairs of the
     ``C(d, 2)`` monomial pairs per call, so a value of any total degree
-    is decided.
+    is decided.  A ``w0`` that repeats both an odd and an even letter
+    is killed by both sums, and is decided before the table is read.
     """
     words = [tuple(m) for m in monomials]
     if len(words) != g.degree:
@@ -1140,6 +1199,11 @@ def check_annihilation(
     for z in w0:
         basis.parity(z)
     k = basis.k
+    repeats = [z for z, m in Counter(w0).items() if m > 1]
+    odd_repeat = any(z > k for z in repeats)
+    even_repeat = any(z <= k for z in repeats)
+    if odd_repeat and even_repeat:
+        return True
     signs = g.sign_table()
     full_flips = signed_flips = 0
     for (i, j), column in signs.columns.items():
@@ -1149,6 +1213,5 @@ def check_annihilation(
             full_flips ^= column
         if (len(unequal) + odd) & 1:
             signed_flips ^= column
-    repeats = [z for z, m in Counter(w0).items() if m > 1]
-    full_killed = any(z > k for z in repeats) or not signs.signed_sum(full_flips)
-    return full_killed and (any(z <= k for z in repeats) or not signs.signed_sum(signed_flips))
+    full_killed = odd_repeat or not signs.signed_sum(full_flips)
+    return full_killed and (even_repeat or not signs.signed_sum(signed_flips))

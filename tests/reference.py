@@ -35,7 +35,6 @@ from filteralg.oracle import (
     _ee_symmetries,
     _group_order,
     _super_tableaux,
-    _walsh_hadamard,
     f_I,
     ideal_subspace,
     perm_sign,
@@ -255,6 +254,22 @@ def check_ideal_by_span(omega_set, basis: SuperBasis, n_max: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # The E⊗E identity constraints, one character at a time.
+
+
+def _walsh_hadamard(rows: list[list[int]]) -> list[list[int]]:
+    """Row ``chi`` of the result is ``sum_g (-1)^popcount(chi & g) rows[g]``.
+
+    ``len(rows)`` must be a power of two; the butterflies run in place.
+    """
+    h = 1
+    while h < len(rows):
+        for i in range(0, len(rows), 2 * h):
+            for j in range(i, i + h):
+                a, b = rows[j], rows[j + h]
+                rows[j] = [x + y for x, y in zip(a, b)]
+                rows[j + h] = [x - y for x, y in zip(a, b)]
+        h *= 2
+    return rows
 
 
 def ee_ranks_by_character(d: int) -> list[int]:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from filteralg import oracle
 from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.oracle import (
+    _ee_class_ranks,
     _ee_symmetries,
     _subset_parities,
     CapExceeded,
@@ -273,6 +274,18 @@ def test_kernel_ranks_depend_only_on_the_class_of_the_character(d):
     assert factorial(d) - sum(ranks) == ee_identity_kernel_dim(d)
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_kernel_split_ranks_match_the_unsplit_ranks(d):
+    # Each class representative is ranked as the images of 1 + T and
+    # 1 - T for a pair swap T that fixes it; their sum is the rank of the
+    # whole class, ranked unsplit by the reference.
+    ranks = ee_ranks_by_character(d)
+    split = _ee_class_ranks(d)
+    assert len(split) == 2 * (d // 2 + 1)
+    for theta, rank in split.items():
+        assert rank == ranks[theta], theta
+
+
 def test_kernel_dims():
     assert ee_identity_kernel_dim(2) == 0
     assert ee_identity_kernel_dim(3) == 0
@@ -281,7 +294,7 @@ def test_kernel_dims():
     assert ee_identity_kernel_dim(5) == 20
     assert ee_identity_kernel_dim(6) == 315
     with pytest.raises(CapExceeded):
-        ee_identity_kernel_dim(7)
+        ee_identity_kernel_dim(8)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -304,8 +317,7 @@ def test_kernel_dims_fit_the_closed_form(d):
     assert ee_identity_kernel_dim(d) == factorial(d) - _codim_fit(d)
 
 
-def test_kernel_degree_7_under_raised_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "KERNEL_DEGREE_CAP", 7)
+def test_kernel_degree_7_under_raised_cap():
     assert ee_identity_kernel_dim(7) == 3444 == factorial(7) - _codim_fit(7)
 
 
@@ -339,6 +351,17 @@ def test_kernel_symmetries_permute_the_sign_rows(d):
     # A position swap is no such symmetry, so the check can tell.
     swap = lambda sigma: sigma[1::-1] + sigma[2:]
     assert _maps_each_f_I_to_a_signed_f_J(swap, d) == (d < 3)
+
+
+@pytest.mark.parametrize("d", range(4, 7))
+def test_pair_transpositions_permute_the_sign_rows(d):
+    # The kernel splits each class by relabeling the values with a swap of
+    # two pairs {2a-1, 2a} and {2b-1, 2b}; every such swap must send each
+    # f_I to some +-f_J.
+    for a, b in combinations(range(1, d // 2 + 1), 2):
+        pi = {2 * a - 1: 2 * b - 1, 2 * a: 2 * b, 2 * b - 1: 2 * a - 1, 2 * b: 2 * a}
+        relabel = lambda sigma, pi=pi: tuple(pi.get(v, v) for v in sigma)
+        assert _maps_each_f_I_to_a_signed_f_J(relabel, d), (a, b)
 
 
 def test_kernel_d2_constraints_by_hand():
@@ -461,6 +484,23 @@ def test_repeated_annihilation_agrees_with_a_fresh_polynomial():
             assert verdict == check_annihilation_by_value(g, tup, basis), tup
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_annihilation_of_the_benchmark_tuples_matches_the_value():
+    # Every br-cube tuple of single letters over (1,1), most of which repeat
+    # both an odd and an even letter, and every popov5a tuple with one
+    # two-letter monomial among single letters.
+    cases = [(br_cube(), list(product([(1,), (2,)], repeat=6)))]
+    mixed = []
+    for pos in range(5):
+        for singles in product([(1,), (2,)], repeat=4):
+            for pair in product((1, 2), repeat=2):
+                mixed.append([*singles[:pos], pair, *singles[pos:]])
+    cases.append((popov5a(), mixed))
+    for g, tuples in cases:
+        for tup in tuples:
+            assert check_annihilation(g, tup, B11) == check_annihilation_by_value(g, tup, B11), tup
+    assert len(cases[0][1]) == 64 and len(mixed) == 320
 
 
 def test_annihilation_matches_the_value_sign_sum():
