@@ -5,16 +5,16 @@ generator.  Generators are normalized to the antichain of
 containment-minimal elements, so equal filters compare equal.  With an
 ``ambient=(k, l)`` the ``(k+1) x (l+1)`` rectangle is adjoined as a free
 generator: every shape containing it indexes a zero block of the tensor
-power, so the quotient algebra is unchanged.  A filter is a frozen
-dataclass, normalized on construction, and :meth:`Filter._require_ambient`
-is the one check that a graded operation has an ambient to work in.
+power, so the quotient algebra is unchanged.  A filter is an immutable
+named tuple ``(generators, ambient)``, normalized on construction, and
+:meth:`Filter._require_ambient` is the one check that a graded operation
+has an ambient to work in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .partitions import (
     Partition,
@@ -40,16 +40,24 @@ def _minimal_antichain(gens: Iterable[Partition]) -> tuple[Partition, ...]:
     return tuple(keep)
 
 
-@dataclass(frozen=True, slots=True)
-class Filter:
-    """An upward-closed set of partitions with optional graded ambient."""
+class _FilterFields(NamedTuple):
+    generators: tuple[Partition, ...]
+    ambient: Optional[tuple[int, int]]
 
-    generators: tuple[Partition, ...] = ()
-    ambient: Optional[tuple[int, int]] = None
 
-    def __post_init__(self):
-        gens = [check_partition(g) for g in self.generators]
-        ambient = self.ambient
+class Filter(_FilterFields):
+    """An upward-closed set of partitions with optional graded ambient.
+
+    A named tuple ``(generators, ambient)``: immutable, hashable, and
+    equal by value, also to a plain tuple of its fields.  The
+    constructor checks the fields and normalizes them, and so do
+    :meth:`_make` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, generators: Iterable = (), ambient=None) -> "Filter":
+        gens = [check_partition(g) for g in generators]
         if ambient is not None:
             try:
                 k, l = ambient
@@ -60,8 +68,13 @@ class Filter:
             k, l = check_alphabet(k, l)
             ambient = (k, l)
             gens.append(((l + 1),) * (k + 1))
-        object.__setattr__(self, "generators", _minimal_antichain(gens))
-        object.__setattr__(self, "ambient", ambient)
+        return super().__new__(cls, _minimal_antichain(gens), ambient)
+
+    @classmethod
+    def _make(cls, iterable) -> "Filter":
+        """Build through the constructor; ``_replace`` calls this, so it
+        checks and normalizes too."""
+        return cls(*iterable)
 
     def _require_ambient(self) -> tuple[int, int]:
         """The ambient ``(k, l)``; the one check every graded operation makes."""

@@ -28,18 +28,17 @@ Schur polynomials in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import Partition, check_partition, conjugate, contains
 
 
-@dataclass
-class LRExpansion:
+class LRExpansion(NamedTuple):
     """Outer-product decomposition: shape -> positive multiplicity."""
 
-    terms: dict[Partition, int] = field(default_factory=dict)
-    degree: int = 0
+    terms: dict[Partition, int]
+    degree: int
 
 
 @lru_cache(maxsize=None)

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
@@ -111,17 +110,29 @@ Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SuperBasis:
-    """A homogeneous basis: ``k`` even generators then ``l`` odd ones."""
-
+class _SuperBasisFields(NamedTuple):
     k: int
     l: int
 
-    def __post_init__(self):
-        k, l = check_alphabet(self.k, self.l)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
+
+class SuperBasis(_SuperBasisFields):
+    """A homogeneous basis: ``k`` even generators then ``l`` odd ones.
+
+    A named tuple ``(k, l)`` like :class:`~filteralg.filters.Filter`:
+    immutable, hashable and equal by value, with the alphabet checked by
+    the constructor, :meth:`_make` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, l: int) -> "SuperBasis":
+        return super().__new__(cls, *check_alphabet(k, l))
+
+    @classmethod
+    def _make(cls, iterable) -> "SuperBasis":
+        """Build through the constructor; ``_replace`` calls this, so it
+        checks and normalizes too."""
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -489,13 +500,26 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     """Decide whether the blocks of the given shapes form a two-sided ideal.
 
     For each degree ``n < n_max`` and each row ``v`` of a block of a
-    listed shape of size ``n``, both ``z (x) v`` and ``v (x) z`` must
-    land in the degree ``n+1`` slice spanned by the listed shapes, for
-    every generator ``z``.  That slice is tested from the quotient side:
-    a vector lies in it iff it is orthogonal to every block of an
-    unlisted shape (see :func:`evaluate_identity`), and the rows of
-    those blocks are indexed by column once per degree.  The input need
-    not be upward closed; that is the point of the check.
+    listed shape of size ``n``, ``z (x) v`` must land in the degree
+    ``n+1`` slice ``U`` spanned by the listed shapes, for every
+    generator ``z``.  That slice is tested from the quotient side: a
+    vector lies in it iff it is orthogonal to every block of an unlisted
+    shape (see :func:`evaluate_identity`), and the rows of those blocks
+    are indexed by column once per degree.  The input need not be upward
+    closed; that is the point of the check.
+
+    *One side suffices.*  The reversal ``w0`` of the ``n+1`` positions
+    lies in ``S_(n+1)``, so it keeps ``U``, a sum of isotypic blocks.
+    For a letter ``z`` of parity ``p`` and a word ``w`` with ``o`` odd
+    letters, ``(z w) * w0 = (-1)^(p o) (w * w0') z``, with ``w0'`` the
+    reversal of ``n`` positions, so ``(z (x) v) * w0 = +-(v * w0') (x)
+    z`` for a vector ``v`` of one letter content, the sign fixed by that
+    content.  The action keeps letter content, so a block ``W_lam`` is
+    the sum of its letter-content parts, and ``v -> v * w0'`` maps each
+    part onto itself.  Hence if ``z (x) v`` lies in ``U`` for every
+    ``v`` in ``W_lam``, so does ``v (x) z``, and the converse holds the
+    same way; by linearity the rows of the block decide both.  The
+    tests keep the two-sided span check as the reference.
     """
     n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max)
@@ -513,14 +537,11 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
         ).get
         for row in sources:
             for z in basis.letters:
-                left: dict = {}
-                right: dict = {}
+                sums: dict = {}
                 for w, c in row.items():
                     for r, a in get((z,) + w, ()):
-                        left[r] = left.get(r, 0) + c * a
-                    for r, a in get(w + (z,), ()):
-                        right[r] = right.get(r, 0) + c * a
-                if any(left.values()) or any(right.values()):
+                        sums[r] = sums.get(r, 0) + c * a
+                if any(sums.values()):
                     return False
     return True
 
@@ -1144,8 +1165,9 @@ def _ee_symmetries(d: int) -> list[Callable[[Perm], Perm]]:
     """
     gens: list[Callable[[Perm], Perm]] = []
     for i in range(1, d // 2 + 1):
-        swap = {2 * i - 1: 2 * i, 2 * i: 2 * i - 1}
-        gens.append(lambda sigma, swap=swap: tuple(swap.get(v, v) for v in sigma))
+        swap = list(range(d + 1))
+        swap[2 * i - 1], swap[2 * i] = 2 * i, 2 * i - 1
+        gens.append(lambda sigma, swap=swap: tuple([swap[v] for v in sigma]))
     gens.append(lambda sigma: sigma[::-1])
     return gens
 

@@ -22,8 +22,8 @@ statistic of a growth report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .dims import _w_dim
 from .filters import Filter
@@ -42,8 +42,7 @@ def dim_quotient(omega: Filter, n: int) -> int:
     return sum(_w_dim(lam, k, l) for lam in omega.complement_at(n))
 
 
-@dataclass
-class DimensionSeries:
+class DimensionSeries(NamedTuple):
     filter: Filter
     k: int
     l: int
@@ -141,8 +140,7 @@ def _add_corner_shapes(
             values[size + kl] += fact[size + kl] * a_num * b_w // corner
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     alpha: int
     slope: float | None  # log(d_N)/N, None when d_N = 0
     passed: bool

@@ -231,9 +231,12 @@ def evaluate_identity_by_span(
     return True
 
 
-def check_ideal_by_span(omega_set, basis: SuperBasis, n_max: int) -> bool:
+def check_ideal_by_span(
+    omega_set, basis: SuperBasis, n_max: int, sides=("left", "right")
+) -> bool:
     """``check_ideal`` with each letter product reduced against the
-    echelon span of the listed shapes' blocks of the next degree."""
+    echelon span of the listed shapes' blocks of the next degree:
+    ``z (x) v`` on the ``"left"`` side, ``v (x) z`` on the ``"right"``."""
     n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max)
     members = {check_partition(m) for m in omega_set}
@@ -245,9 +248,12 @@ def check_ideal_by_span(omega_set, basis: SuperBasis, n_max: int) -> bool:
         target = slices[n + 1]
         for row in slices[n].rows():
             for z in basis.letters:
-                left = {(z,) + w: c for w, c in row.items()}
-                right = {w + (z,): c for w, c in row.items()}
-                if not target.contains(left) or not target.contains(right):
+                products = []
+                if "left" in sides:
+                    products.append({(z,) + w: c for w, c in row.items()})
+                if "right" in sides:
+                    products.append({w + (z,): c for w, c in row.items()})
+                if not all(map(target.contains, products)):
                     return False
     return True
 

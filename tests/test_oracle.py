@@ -697,6 +697,19 @@ def test_check_ideal_matches_span_route(inputs):
     assert check_ideal(shapes, basis, n_max) == check_ideal_by_span(shapes, basis, n_max)
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_shape_sets())
+@example(([(1, 1)], B20, 3))
+@example(([(2,), (3,), (2, 1)], B11, 3))
+def test_left_and_right_span_checks_agree(inputs):
+    # check_ideal tests z (x) v only; its docstring proves that v (x) z
+    # then holds too, by the reversal of positions.
+    shapes, basis, n_max = inputs
+    left = check_ideal_by_span(shapes, basis, n_max, sides=("left",))
+    right = check_ideal_by_span(shapes, basis, n_max, sides=("right",))
+    assert left == right == check_ideal_by_span(shapes, basis, n_max)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_shape_sets())
 @example(([(1, 1)], B20, 3))
