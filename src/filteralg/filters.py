@@ -26,11 +26,6 @@ from .partitions import (
 )
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, a subclass of int.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _minimal_antichain(gens: Iterable[Partition]) -> tuple[Partition, ...]:
     ordered = sorted(set(gens), key=lambda m: (sum(m), tuple(-p for p in m)))
     keep: list[Partition] = []
@@ -221,18 +216,20 @@ class Filter(_FilterFields):
 
     @classmethod
     def from_json(cls, data) -> "Filter":
-        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``."""
+        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``.
+
+        Only the document's shape is checked here; the constructor checks
+        ``k``, ``l`` and the parts (:func:`check_alphabet`,
+        :func:`check_partition`), so JSON ``true`` or ``2.0`` is refused
+        there.
+        """
         if not isinstance(data, dict):
             raise ValueError("filter file must hold a JSON object")
         if ("k" in data) != ("l" in data):
             raise ValueError("filter file must give both k and l or neither")
         ambient = (data["k"], data["l"]) if "k" in data else None
-        if ambient is not None and not all(map(_is_int, ambient)):
-            raise ValueError(f"k and l must be integers, got {ambient}")
         gens = data.get("generators", [])
-        if not isinstance(gens, list) or not all(
-            isinstance(g, list) and all(map(_is_int, g)) for g in gens
-        ):
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise ValueError("generators must be a list of lists of integers")
         return cls(gens, ambient)
 

@@ -9,7 +9,9 @@ comparison.  Elimination is fraction-free: rows are cross-multiplied
 and re-normalized, so no Fraction arithmetic happens in the hot path.
 
 A sparse vector is a ``dict`` that never stores a zero coefficient;
-:func:`add_terms` is the one place sums of such vectors are formed.
+sums of such vectors go through :func:`add_terms`, except in the
+oracle's hot loops (``_star_compiled``, ``evaluate_identity`` and
+``check_ideal``), which add inline.
 """
 
 from __future__ import annotations

@@ -12,68 +12,31 @@ Conventions, fixed once and pinned by the associativity and sign tests:
   ``J`` collects the positions of the odd letters of ``z`` and ``f_J``
   counts the inversions of ``sigma`` lying inside ``J``.  With the
   composition above this satisfies ``(z * p) * q = z * (p * q)``.
+* A tensor vector (and a group-algebra element) is a ``dict`` that never
+  stores a zero coefficient.  Sums of vectors go through
+  :func:`filteralg.linalg.add_terms`, except in the hot loops of
+  :func:`_star_compiled`, :func:`evaluate_identity` and
+  :func:`check_ideal`, which add inline.
 
-Everything downstream is spans of such vectors inside the full
-``(k+l)^n``-dimensional degree slice, held as canonical integer echelon
-bases so that subspace equality is literal comparison.  The action sends
-a word to a signed word, so the isotypic blocks of a slice are mutually
-orthogonal for the dot product on words, and the slice is their direct
-sum.  Membership in the blocks of a set of shapes is therefore decided
-on the quotient side: :func:`evaluate_identity` and :func:`check_ideal`
-index the rows of every other block by column once per call, add each
-vector's terms into one sum per row, and call the vector a member iff
-every sum is 0.  They never build the span of the member blocks.  Hard
-caps keep the ambient dimension ``(k+l)^n`` at ``DIM_CAP = 4096`` (or at
-``FILTERALG_DIM_CAP`` when that is set).  The EE criterion
-(:func:`is_identity_EE`, on the pairs of even-size subsets) is decided
-exhaustively up to degree ``EE_DEGREE_CAP = 9``, and the
-dimension of its identity space (:func:`ee_identity_kernel_dim`, dense
-ranks of two blocks for each of ``2 * (d//2 + 1)`` classes of
-characters of an abelian symmetry group of the ``f_I``, split by a swap
-of two value pairs that fixes the class, each over about half of the
-orbits of that group on ``S_d``) up to ``KERNEL_DEGREE_CAP = 7``.  Each
-function reads its cap from the module (and the environment) when it
-is called.  Exceeding a cap raises :class:`CapExceeded`, never
-approximates.  :func:`check_annihilation` has no cap: its work is one
-sign table per polynomial and the letter pairs of ``C(d, 2)`` monomial
-pairs per call, whatever the total degree.  The fully listed Young
-symmetrizers that the tests check :func:`module_W` against live in
-``tests/reference.py``, with their own cap.
+The engines:
 
-A sum over a Young subgroup ``G`` (the permutations preserving some
-blocks of positions) runs over the orbit of a word under ``G``, one
-carrying permutation per distinct rearrangement (:func:`_carriers`).
-:func:`module_W` uses this one rule for both of a tableau's groups: the
-larger on the orbits of the shape's semistandard fillings, which are
-disjoint, so ``DIM_CAP`` bounds that work too, and the smaller on the
-word ``(1, ..., n)`` of distinct letters, whose carriers are the whole
-group.
+* the action: :func:`_star_compiled` is the one loop applying it to a
+  vector, behind :func:`star_group_algebra`; :func:`star_word` and
+  :func:`f_I` are the single-word definitions the tests check it against;
+* the blocks: :func:`module_W`, the isotypic block of a shape as a
+  canonical integer echelon basis, and the slices
+  :func:`ideal_subspace` and :func:`generated_ideal`;
+* verdicts on the blocks, under the ambient cap :func:`_check_cap`:
+  :func:`check_ideal` and :func:`evaluate_identity`;
+* polynomials: :class:`MultilinearPoly` with its :class:`SignTable`, the
+  free algebra, :func:`multilinearize` and the named identities;
+* sign sums read off a polynomial's table: :func:`is_identity_EE` and
+  :func:`check_annihilation`, and the rank of the E⊗E identities,
+  :func:`ee_identity_kernel_dim`.
 
-A tensor vector (and a group-algebra element) is a ``dict`` that never
-stores a zero coefficient.  Sums of such vectors go through
-:func:`filteralg.linalg.add_terms`, and :func:`_star_compiled` is the
-only loop applying the twisted action to a vector.  It takes each
-permutation compiled (:func:`_compiled`) into an ``itemgetter`` and a
-bit mask per position, so a term costs one XOR per odd letter.
-:func:`star_group_algebra` (and through it the per-permutation action)
-compiles its element once per call, and :func:`module_W` compiles each
-permutation once for all the vectors it moves.  :func:`star_word` and
-:func:`f_I` stay as the single-word definitions the tests check the
-loop against.
-
-A polynomial keeps one :class:`SignTable`, built on first use
-(:meth:`MultilinearPoly.sign_table`): its integer coefficient total,
-its coefficients bit-sliced into masks over the terms, and one big-int
-column per variable pair marking the terms that invert the pair.  Both
-PI verdicts are signed sums of the coefficients read off that table,
-each one XOR of columns and a few ``bit_count`` calls:
-:func:`is_identity_EE` per pair of even subsets, and
-:func:`check_annihilation`, which needs no orbit and builds no value.
-A value's words are rearrangements of one word, so each total
-symmetrizer maps it to a multiple of that word's image, and the
-multiple is a sign sum over the terms.  :func:`evaluate_identity`
-compiles each term once per composition of the degree, into one
-``itemgetter`` over the concatenated word.
+A sum over a Young subgroup runs over the carriers of
+:func:`_carriers`.  Exceeding a cap raises :class:`CapExceeded`, never
+approximates.
 """
 
 from __future__ import annotations
@@ -91,6 +54,7 @@ from .filters import Filter
 from .linalg import EchelonBasis, add_terms, dense_rank, intify
 from .partitions import (
     Partition,
+    _integers,
     check_alphabet,
     check_partition,
     check_size,
@@ -143,12 +107,23 @@ class SuperBasis(_SuperBasisFields):
         return tuple(range(1, self.k + self.l + 1))
 
     def parity(self, letter: int) -> int:
-        if not 1 <= letter <= self.dim:
-            raise ValueError(f"letter {letter} outside 1..{self.dim}")
+        (letter,) = _check_word((letter,), self)
         return 0 if letter <= self.k else 1
 
     def words(self, n: int) -> Iterator[Word]:
         return product(self.letters, repeat=n)
+
+
+def _check_word(word: Iterable, basis: SuperBasis) -> Word:
+    """``word`` as a tuple of letters of ``basis``: integers in the sense
+    of ``operator.index`` and not ``bool``, the rule of
+    :func:`~filteralg.partitions.check_partition`, in ``1..k+l``.
+    Anything else raises ``ValueError``."""
+    word = _integers(tuple(word), "letters")
+    if word and (min(word) < 1 or max(word) > basis.dim):
+        bad = next(z for z in word if not 1 <= z <= basis.dim)
+        raise ValueError(f"letter {bad} outside 1..{basis.dim}")
+    return word
 
 
 def _check_cap(basis: SuperBasis, n: int) -> None:
@@ -207,10 +182,15 @@ def star_group_algebra(vec: dict, element: dict, basis: SuperBasis) -> dict:
     Each permutation is compiled once per call (:func:`_compiled`), so a
     word costs one ``itemgetter`` call and, when it has odd letters, an
     XOR over its odd positions; the result equals :func:`star_word`
-    term by term.
+    term by term.  Every word of ``vec`` must have the length of the
+    permutations.
     """
     if not element:
         return {}
+    n = len(next(iter(element)))
+    for w in vec:
+        if len(w) != n:
+            raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
     return _star_compiled(vec, [(*_compiled(sigma), c) for sigma, c in element.items()], basis.k)
 
 
@@ -218,12 +198,11 @@ def _star_compiled(vec: dict, compiled: list[tuple[Callable, list[int], object]]
     """The loop of :func:`star_group_algebra` over an element already
     compiled into ``(permuted, below, c)`` triples (see :func:`_compiled`),
     so that a caller applying one element to many vectors compiles it
-    once.  ``k`` is the number of even letters."""
+    once.  ``k`` is the number of even letters.  Every word must have
+    the permutations' length; the caller checks that, where a vector
+    comes from outside (:func:`star_group_algebra`)."""
     out: dict = {}
-    n = len(compiled[0][1])
     for w, a in vec.items():
-        if len(w) != n:
-            raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
         odd = [i for i, z in enumerate(w) if z > k]
         mask = sum(1 << i for i in odd)
         # The accumulate stays inline: this loop is the oracle's hot path.
@@ -429,6 +408,10 @@ def _carriers(seed: Word, blocks: Sequence[Sequence[int]]) -> Iterator[Perm]:
     inside the blocks: ``p`` preserves each block, ``w[i] = seed[p(i)]``
     (so ``seed * p = +-w``), and equal letters keep their order.  Each
     letter in turn takes a combination of the free positions of a block.
+
+    On a word of distinct letters the carriers are the whole group:
+    :func:`module_W` lists its smaller group that way, and
+    :func:`multilinearize` the orders of its slot blocks.
     """
     per_block = []
     for block in blocks:
@@ -459,9 +442,11 @@ def ideal_subspace(omega: Filter, basis: SuperBasis, n: int) -> EchelonBasis:
     """
     _check_ambient(omega, basis)
     _check_cap(basis, n)
-    return _blocks_span(
-        [lam for lam in enumerate_partitions(n) if omega.member(lam)], basis, n
-    )
+    members = [lam for lam in enumerate_partitions(n) if omega.member(lam)]
+    sub = EchelonBasis()
+    for row in _blocks_rows(members, basis, n):
+        sub.insert(row)
+    return sub
 
 
 def _check_ambient(omega: Filter, basis: SuperBasis) -> None:
@@ -469,15 +454,6 @@ def _check_ambient(omega: Filter, basis: SuperBasis) -> None:
         raise ValueError(
             f"filter ambient {omega.ambient} differs from the basis ({basis.k}, {basis.l})"
         )
-
-
-def _blocks_span(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> EchelonBasis:
-    """Sum of the ``module_W`` blocks of the given size-``n`` shapes."""
-    sub = EchelonBasis()
-    for lam in shapes:
-        for row in module_W(lam, basis, n).rows():
-            sub.insert(row)
-    return sub
 
 
 def _blocks_rows(shapes: Iterable[Partition], basis: SuperBasis, n: int) -> list[dict]:
@@ -557,8 +533,7 @@ def generated_ideal(
         if any(len(w) != 2 for w in rel):
             raise ValueError("relations must be homogeneous of degree 2")
         for w in rel:
-            for z in w:
-                basis.parity(z)
+            _check_word(w, basis)
         rels.append(rel)
     sub = EchelonBasis()
     if n >= 2:
@@ -659,13 +634,9 @@ def free_commutator(a: dict, b: dict) -> dict:
 
 
 def multilinear_from_free(poly: dict, d: int) -> MultilinearPoly:
-    """Read an already multilinear free polynomial in ``d`` distinct variables."""
-    coeffs = {}
-    for word, c in poly.items():
-        if sorted(word) != list(range(d)):
-            raise ValueError(f"monomial {word} is not multilinear in {d} variables")
-        coeffs[tuple(x + 1 for x in word)] = c
-    return MultilinearPoly(d, coeffs)
+    """Read an already multilinear free polynomial in the ``d`` variables
+    ``0..d-1``; :class:`MultilinearPoly` checks each term."""
+    return MultilinearPoly(d, {tuple(x + 1 for x in word): c for word, c in poly.items()})
 
 
 def multilinearize(poly: dict) -> MultilinearPoly:
@@ -675,6 +646,11 @@ def multilinearize(poly: dict) -> MultilinearPoly:
     fresh slots, summing over every order in which the slots can occupy
     the variable's positions.  The result vanishes on an algebra exactly
     when the original does (characteristic zero).
+
+    The orders are the permutations of the slots preserving each block,
+    listed once as the carriers of ``(1, ..., d)`` (:func:`_carriers`).
+    A word puts the ``j``-th slot of each variable's block at that
+    variable's ``j``-th position, and each order relabels those slots.
     """
     if not poly:
         raise ValueError("cannot multilinearize the zero polynomial")
@@ -684,25 +660,15 @@ def multilinearize(poly: dict) -> MultilinearPoly:
         if Counter(w) != ref:
             raise ValueError("polynomial is not multihomogeneous")
     variables = sorted(ref)
-    offsets = {}
-    start = 0
-    for v in variables:
-        offsets[v] = start
-        start += ref[v]
-    d = start
+    ends = list(accumulate((ref[v] for v in variables), initial=0))
+    d = ends[-1]
+    blocks = [range(a + 1, b + 1) for a, b in zip(ends, ends[1:])]
+    orders = list(_carriers(tuple(range(1, d + 1)), blocks))
     coeffs: dict = {}
     for word, c in poly.items():
-        pos_by_var = {v: [i for i, x in enumerate(word) if x == v] for v in variables}
-        label_pools = [
-            permutations(range(offsets[v] + 1, offsets[v] + 1 + ref[v]))
-            for v in variables
-        ]
-        for assignment in product(*label_pools):
-            labels = [0] * len(word)
-            for v, labs in zip(variables, assignment):
-                for p, lb in zip(pos_by_var[v], labs):
-                    labels[p] = lb
-            add_terms(coeffs, [(tuple(labels), c)])
+        slots = {v: iter(block) for v, block in zip(variables, blocks)}
+        relabel = _permuter([next(slots[x]) for x in word])
+        add_terms(coeffs, ((relabel(p), c) for p in orders))
     return MultilinearPoly(d, coeffs)
 
 
@@ -754,10 +720,7 @@ def br_cube() -> MultilinearPoly:
 
 def s3_cubed() -> MultilinearPoly:
     """Multilinearization of the cubed degree-3 standard polynomial (degree 9)."""
-    s3 = {
-        tuple(p): perm_sign(tuple(x + 1 for x in p))
-        for p in permutations(range(3))
-    }
+    s3 = {tuple(x - 1 for x in p): c for p, c in standard_poly(3).coeffs.items()}
     return multilinearize(free_mul(free_mul(s3, s3), s3))
 
 
@@ -867,9 +830,10 @@ def is_identity_EE(g: MultilinearPoly) -> bool:
     ``B(I1, I2) = sum_sigma alpha_sigma f_{I1}(sigma) f_{I2}(sigma)`` for
     every pair of subsets ``I1, I2`` of the variable positions.  ``B`` is
     bilinear in ``f_{I1}`` and ``f_{I2}``, and every ``f_I`` of odd size
-    is a signed sum of ``f_J`` of even size (:func:`_subset_parities`), so
-    it is enough to decide the pairs of even subsets: 2,016 pairs instead
-    of 7,050 distinct pair sets at degree 7.  Every such pair is decided,
+    is a signed sum of ``f_J`` of even size (Lemma 1 of
+    :func:`_even_subset_parities`), so it is enough to decide the pairs
+    of even subsets: 2,016 pairs instead of 7,050 distinct pair sets at
+    degree 7.  Every such pair is decided,
     so either verdict is a proof.
 
     The product ``f_{I1} f_{I2}`` is ``-1`` exactly on the terms whose
@@ -926,16 +890,18 @@ def _coefficient_slices(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int]:
-    """``f_I`` on ``perms`` as bits, for each subset ``I`` of even size.
+def _even_subset_parities(
+    columns: Mapping[tuple[int, int], int], d: int
+) -> dict[tuple[int, ...], int]:
+    """``f_I`` as bits, for each subset ``I`` of ``1..d`` of even size.
 
     ``f_I(sigma)`` is ``-1`` to the number of value pairs ``a < b``
     inside ``I`` that ``sigma`` inverts, i.e. places ``b`` before ``a``.
-    One big-int column per value pair marks the permutations inverting
-    it (:func:`_inversion_columns`), and the parity of ``I`` is the XOR
-    of the columns of its pairs (:func:`_even_subset_parities`).  Keys
-    are the subsets ``I`` as increasing tuples, ``()`` included; values
-    have bit ``t`` set when ``f_I(perms[t]) = -1``.
+    ``columns`` holds one big-int column per value pair, marking the
+    permutations that invert it (:func:`_inversion_columns`), and the
+    parity of ``I`` is the XOR of the columns of its pairs.  Keys are
+    the subsets ``I`` as increasing tuples, ``()`` included; values have
+    bit ``t`` set when ``f_I`` is ``-1`` at the ``t``-th permutation.
 
     The odd subsets are left out because they add nothing to the span
     ``V`` of the ``f_I``.  *Lemma 1:* for ``I = {i_1 < ... < i_r}`` with
@@ -946,14 +912,6 @@ def _subset_parities(perms: Sequence[Perm], d: int) -> dict[tuple[int, ...], int
     ``f_I(sigma) sum_j (-1)^(p_j - 1)``; the ``p_j`` run over ``1..r``,
     and that sum is 1 for odd ``r``.
     """
-    return _even_subset_parities(_inversion_columns(perms, d), d)
-
-
-def _even_subset_parities(
-    columns: Mapping[tuple[int, int], int], d: int
-) -> dict[tuple[int, ...], int]:
-    """The XOR of the inversion ``columns`` of the pairs inside each
-    even-size subset of ``1..d``, keyed by the subset."""
     return {
         sub: reduce(xor, (columns[q] for q in combinations(sub, 2)), 0)
         for m in range(0, d + 1, 2)
@@ -996,7 +954,7 @@ def ee_identity_kernel_dim(d: int) -> int:
     rationals, whose row for ``(I1, I2)`` is ``f_{I1} * f_{I2}`` over all
     of ``S_d``.  The rows are bilinear in the ``f_I``, so they span
     ``R = V * V`` for ``V`` the span of the ``f_I``, which the even
-    subsets alone span (Lemma 1 of :func:`_subset_parities`).
+    subsets alone span (Lemma 1 of :func:`_even_subset_parities`).
 
     ``R`` is ranked one block at a time.  The group ``G`` of
     :func:`_ee_symmetries` (the swaps of the values ``2i-1, 2i`` and the
@@ -1080,13 +1038,16 @@ def _ee_class_ranks(d: int) -> dict[int, int]:
     the reversal bit.  Each is ranked as two blocks (Lemma 3)."""
     gens = _ee_symmetries(d)
     size = 1 << len(gens)
-    words, seen = [], set()
+    # first[sigma]: the index of sigma's first occurrence in ``words``.
+    words: list[Perm] = []
+    first: dict[Perm, int] = {}
     for sigma in permutations(range(1, d + 1)):
-        if sigma not in seen:
+        if sigma not in first:
             orbit = [sigma]
             for gen in gens:
                 orbit += [gen(w) for w in orbit]
-            seen.update(orbit)
+            for i, w in enumerate(orbit, len(words)):
+                first.setdefault(w, i)
             words += orbit
     n = len(words)
     m = d // 2
@@ -1094,7 +1055,7 @@ def _ee_class_ranks(d: int) -> dict[int, int]:
     ones = int.from_bytes(b"\x01" * orbits, "little")
     kernels = [[g for g in range(size) if not (chi & g).bit_count() & 1] for chi in range(size)]
     rows: list[list[list[int]]] = [[] for _ in range(size)]
-    for sub, par in _subset_parities(words, d).items():
+    for sub, par in _even_subset_parities(_inversion_columns(words, d), d).items():
         if any(2 * i in sub and 2 * i - 1 not in sub for i in range(1, m + 1)):
             continue
         bits = format(par, f"0{n}b")[::-1].encode().translate(_LANES)
@@ -1109,9 +1070,6 @@ def _ee_class_ranks(d: int) -> dict[int, int]:
             if 4 * kept != 2 * count + base * ones:
                 kept_bytes = kept.to_bytes(orbits, "little")
                 rows[chi].append([base + c - 4 * k for c, k in zip(doubled, kept_bytes)])
-    first: dict[Perm, int] = {}
-    for i, sigma in enumerate(words):
-        first.setdefault(sigma, i)
     # (o2, g) with pi o sigma_o = g sigma_o2, for each orbit o, by swap.
     moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
     ranks = {}
@@ -1217,9 +1175,7 @@ def check_annihilation(
         raise ValueError(f"need {g.degree} monomials, got {len(words)}")
     if not all(words):
         raise ValueError("monomials must be nonempty words")
-    w0 = sum(words, ())
-    for z in w0:
-        basis.parity(z)
+    w0 = _check_word(sum(words, ()), basis)
     k = basis.k
     repeats = [z for z, m in Counter(w0).items() if m > 1]
     odd_repeat = any(z > k for z in repeats)

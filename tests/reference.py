@@ -4,7 +4,8 @@ Each one computes a quantity the package also computes, by a route that
 shares none of the package's shortcuts: standard tableaux by corner
 removal, ``(k,l)``-semistandard tableaux by counting the oracle's list,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
-listing their groups, membership in an ideal slice by echelon
+listing their groups, polarization by listing each variable's slot
+orders, membership in an ideal slice by echelon
 reduction against the span of the member blocks, annihilation by the
 total symmetrizers on the whole substituted value, the rank of the E⊗E
 identity constraints one character at a time, and the size of a shape
@@ -28,7 +29,7 @@ from filteralg.oracle import (
     Perm,
     SuperBasis,
     Word,
-    _blocks_span,
+    _blocks_rows,
     _check_cap,
     _columns,
     _compositions,
@@ -180,6 +181,38 @@ def tableau_symmetrizer(rows: Sequence[Sequence[int]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Polarization, listed variable by variable.
+
+
+def multilinearize_by_listing(poly: dict) -> MultilinearPoly:
+    """``multilinearize`` with the slot orders of each variable listed by
+    ``itertools.permutations`` afresh for every word, and one label list
+    filled per order.  ``poly`` must be nonzero and multihomogeneous."""
+    ref = Counter(next(iter(poly)))
+    variables = sorted(ref)
+    offsets = {}
+    start = 0
+    for v in variables:
+        offsets[v] = start
+        start += ref[v]
+    coeffs: dict = {}
+    for word, c in poly.items():
+        assert Counter(word) == ref, "polynomial is not multihomogeneous"
+        pos_by_var = {v: [i for i, x in enumerate(word) if x == v] for v in variables}
+        label_pools = [
+            permutations(range(offsets[v] + 1, offsets[v] + 1 + ref[v]))
+            for v in variables
+        ]
+        for assignment in product(*label_pools):
+            labels = [0] * len(word)
+            for v, labs in zip(variables, assignment):
+                for p, lb in zip(pos_by_var[v], labs):
+                    labels[p] = lb
+            add_terms(coeffs, [(tuple(labels), c)])
+    return MultilinearPoly(start, coeffs)
+
+
+# ---------------------------------------------------------------------------
 # Identity, ideal and annihilation verdicts on whole values.
 
 
@@ -240,10 +273,11 @@ def check_ideal_by_span(
     n_max = check_size(n_max, "n_max")
     _check_cap(basis, n_max)
     members = {check_partition(m) for m in omega_set}
-    slices = {
-        n: _blocks_span([lam for lam in members if sum(lam) == n], basis, n)
-        for n in range(n_max + 1)
-    }
+    slices = {}
+    for n in range(n_max + 1):
+        slices[n] = span = EchelonBasis()
+        for row in _blocks_rows([lam for lam in members if sum(lam) == n], basis, n):
+            span.insert(row)
     for n in range(n_max):
         target = slices[n + 1]
         for row in slices[n].rows():

@@ -275,8 +275,12 @@ def test_output_pinned(argv, code, out, err, sym_file, tv_file, capsys):
         ('{"k":1,"l":1,"generators":5}', "generators must be a list"),
         ("[1,2]", "must hold a JSON object"),
         ('{"k":null,"l":1,"generators":[[2]]}', "k and l must be integers"),
+        # The parts are checked by the Filter constructor (check_partition).
+        ('{"k":1,"l":1,"generators":[[2.5]]}', "parts must be integers, got (2.5,)"),
+        ('{"k":1,"l":1,"generators":[["2"]]}', "parts must be integers, got ('2',)"),
+        ('{"k":1,"l":1,"generators":[[true]]}', "parts must be integers, got (True,)"),
     ],
-    ids=["generators-not-a-list", "top-level-list", "k-null"],
+    ids=["generators-not-a-list", "top-level-list", "k-null", "part-float", "part-string", "part-true"],
 )
 def test_malformed_filter_file(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -10,7 +10,8 @@ from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.oracle import (
     _ee_class_ranks,
     _ee_symmetries,
-    _subset_parities,
+    _even_subset_parities,
+    _inversion_columns,
     CapExceeded,
     MultilinearPoly,
     SuperBasis,
@@ -19,7 +20,11 @@ from filteralg.oracle import (
     commutator_product,
     ee_identity_kernel_dim,
     f_I,
+    free_commutator,
+    free_mul,
+    free_var,
     is_identity_EE,
+    multilinear_from_free,
     multilinearize,
     named_poly,
     perm_sign,
@@ -34,6 +39,7 @@ from reference import (
     compose,
     ee_ranks_by_character,
     full_symmetrizer,
+    multilinearize_by_listing,
     sign_symmetrizer,
 )
 
@@ -81,6 +87,67 @@ def test_poly_terms_must_be_permutations():
 def test_multilinearize_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         multilinearize({(0, 1): 1, (0, 0): 1})
+
+
+def _named_free_polys():
+    """The free polynomials behind the named multilinearizations, with
+    s3 signed by ``perm_sign`` rather than read off ``standard_poly``."""
+    x, y = free_var(0), free_var(1)
+    c = free_commutator(x, y)
+    cube = free_mul(free_mul(c, c), c)
+    s3 = {p: perm_sign(tuple(v + 1 for v in p)) for p in permutations(range(3))}
+    return {
+        "popov5a": (free_commutator(free_mul(c, c), x), popov5a),
+        "br-cube": (cube, br_cube),
+        "br-cube*x7": (free_mul(cube, free_var(2)), None),
+        "s3cube": (free_mul(free_mul(s3, s3), s3), s3_cubed),
+    }
+
+
+@pytest.mark.parametrize("name", ["popov5a", "br-cube", "br-cube*x7", "s3cube"])
+def test_multilinearize_matches_listing_on_named_polys(name):
+    free, named = _named_free_polys()[name]
+    expected = dict(multilinearize_by_listing(free).coeffs)
+    assert dict(multilinearize(free).coeffs) == expected
+    if named is not None:
+        assert dict(named().coeffs) == expected
+
+
+@st.composite
+def _multihomogeneous(draw):
+    """Rearrangements of one drawn letter content (variables may repeat
+    and need not be 0..r-1), each with a drawn nonzero coefficient."""
+    content = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    words = draw(st.lists(st.permutations(content).map(tuple), min_size=1, max_size=6))
+    return {w: draw(_coefficients) for w in words}
+
+
+@settings(deadline=None)
+@given(_multihomogeneous())
+@example({(0, 0, 1): 1})
+@example({(3, 1, 3, 3): 2, (1, 3, 3, 3): -3})
+def test_multilinearize_matches_listing(poly):
+    g = multilinearize(poly)
+    assert g.degree == len(next(iter(poly)))
+    assert dict(g.coeffs) == dict(multilinearize_by_listing(poly).coeffs)
+
+
+def test_multilinearize_pins_a_repeated_variable():
+    assert dict(multilinearize({(0, 0, 1): 1}).coeffs) == {(1, 2, 3): 1, (2, 1, 3): 1}
+
+
+def test_multilinear_from_free_checks_each_term():
+    # A repeated variable and a variable outside 0..d-1.
+    for word in [(0, 0, 2), (0, 1, 3)]:
+        with pytest.raises(ValueError):
+            multilinear_from_free({(0, 1, 2): 1, word: 1}, 3)
+    # The zero polynomial is a degree-d polynomial with no terms.
+    zero = multilinear_from_free({}, 3)
+    assert zero.degree == 3 and dict(zero.coeffs) == {}
+    lie = free_commutator(free_commutator(free_var(0), free_var(1)), free_var(2))
+    assert dict(multilinear_from_free(lie, 3).coeffs) == {
+        (1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 2): -1, (3, 2, 1): 1,
+    }
 
 
 def test_named_poly_lookup():
@@ -222,8 +289,8 @@ def test_even_subset_signs_have_rank_half_the_subsets(d):
     perms = list(permutations(range(1, d + 1)))
     rows = [[f_I(sigma, sub) for sigma in perms] for sub in _subsets(d) if len(sub) % 2 == 0]
     assert dense_rank(rows) == 2 ** (d - 1)
-    # _subset_parities holds exactly those rows, keyed by subset.
-    parities = _subset_parities(perms, d)
+    # _even_subset_parities holds exactly those rows, keyed by subset.
+    parities = _even_subset_parities(_inversion_columns(perms, d), d)
     assert sorted(parities) == sorted(tuple(sorted(sub)) for sub in _subsets(d) if len(sub) % 2 == 0)
     for sub, par in parities.items():
         assert [-1 if par >> t & 1 else 1 for t in range(len(perms))] == [
@@ -239,7 +306,7 @@ def test_subset_parities_match_f_I_on_permutation_lists(d):
     drawn = [tuple(rng.sample(range(1, d + 1), d)) for _ in range(30)]
     evens = sorted(tuple(sorted(sub)) for sub in _subsets(d) if len(sub) % 2 == 0)
     for perms in (drawn, drawn[:7] * 2 + drawn[3:5], drawn[:1], []):
-        parities = _subset_parities(perms, d)
+        parities = _even_subset_parities(_inversion_columns(perms, d), d)
         assert sorted(parities) == evens
         for sub, par in parities.items():
             assert par >> len(perms) == 0
@@ -556,6 +623,10 @@ def test_annihilation_input_validation():
         check_annihilation(g, [(1,), (2,), (), (1,)], B11)
     with pytest.raises(ValueError):
         check_annihilation(g, [(1,), (2,), (3,), (1,)], B11)
+    # A letter must be an integer and not a bool, even in range.
+    for letter in [1.5, True, "1"]:
+        with pytest.raises(ValueError, match="letters must be integers"):
+            check_annihilation(commutator_product(1), [(letter,), (2,)], B11)
     # Total degree 8 gets a verdict.
     tup = [(1, 1), (1, 1), (1, 1), (1, 1)]
     assert check_annihilation(g, tup, B11) == check_annihilation_by_value(g, tup, B11)

@@ -554,6 +554,15 @@ def test_generated_ideal_rejects_letters_outside_basis(word, n):
         generated_ideal([{word: 1}], B20, n)
 
 
+@pytest.mark.parametrize("letter", [1.5, True, "1"])
+def test_letters_must_be_integers(letter):
+    # In range or comparable or not, a letter is an integer and not a bool.
+    with pytest.raises(ValueError, match="letters must be integers"):
+        generated_ideal([{(letter, 2): 1}], B20, 2)
+    with pytest.raises(ValueError, match="letters must be integers"):
+        B11.parity(letter)
+
+
 def test_filter_ambient_must_match_basis():
     # The adjoined rectangle of another ambient would count as a member.
     with pytest.raises(ValueError, match="ambient"):
