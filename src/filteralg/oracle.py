@@ -41,7 +41,6 @@ approximates.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, permutations, product
@@ -126,25 +125,25 @@ def _check_word(word: Iterable, basis: SuperBasis) -> Word:
     return word
 
 
-def _check_cap(basis: SuperBasis, n: int) -> None:
-    """Refuse an ambient ``(k+l)^n`` above ``FILTERALG_DIM_CAP``, if set,
-    else above ``DIM_CAP``."""
-    raw = os.environ.get("FILTERALG_DIM_CAP")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"FILTERALG_DIM_CAP must be a positive integer, got {raw!r}")
-    else:
-        cap = DIM_CAP
+def _check_perms(perms: Iterable, n: int) -> None:
+    """Refuse with ``ValueError`` any of ``perms`` that is not a
+    permutation of ``1..n``."""
+    values = list(range(1, n + 1))
+    for sigma in perms:
+        if sorted(sigma) != values:
+            raise ValueError(f"{sigma} is not a permutation of 1..{n}")
+
+
+def _check_cap(basis: SuperBasis, n, name: str = "n") -> int:
+    """The degree ``n``, checked by :func:`~filteralg.partitions.check_size`
+    under ``name``, and refused with :class:`CapExceeded` when the
+    ambient ``(k+l)^n`` exceeds ``DIM_CAP``, read at each call."""
+    n = check_size(n, name)
     # dim**n >= 2**n > cap once n reaches cap's bit length: refuse a huge n
     # without taking the power.
-    if (basis.dim >= 2 and n >= cap.bit_length()) or basis.dim**n > cap:
-        raise CapExceeded(
-            f"ambient dimension {basis.dim}**{n} exceeds cap {cap}"
-        )
+    if (basis.dim >= 2 and n >= DIM_CAP.bit_length()) or basis.dim**n > DIM_CAP:
+        raise CapExceeded(f"ambient dimension {basis.dim}**{n} exceeds cap {DIM_CAP}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +181,15 @@ def star_group_algebra(vec: dict, element: dict, basis: SuperBasis) -> dict:
     Each permutation is compiled once per call (:func:`_compiled`), so a
     word costs one ``itemgetter`` call and, when it has odd letters, an
     XOR over its odd positions; the result equals :func:`star_word`
-    term by term.  Every word of ``vec`` must have the length of the
-    permutations.
+    term by term.  The keys of ``element`` must be permutations of one
+    ``1..n``, and the words of ``vec`` words of ``basis`` of length ``n``.
     """
     if not element:
         return {}
     n = len(next(iter(element)))
+    _check_perms(element, n)
     for w in vec:
-        if len(w) != n:
+        if len(_check_word(w, basis)) != n:
             raise ValueError(f"degree mismatch: word {w} vs permutation of {n}")
     return _star_compiled(vec, [(*_compiled(sigma), c) for sigma, c in element.items()], basis.k)
 
@@ -441,7 +441,7 @@ def ideal_subspace(omega: Filter, basis: SuperBasis, n: int) -> EchelonBasis:
     membership counts the adjoined ``k+1 x l+1`` rectangle.
     """
     _check_ambient(omega, basis)
-    _check_cap(basis, n)
+    n = _check_cap(basis, n)
     members = [lam for lam in enumerate_partitions(n) if omega.member(lam)]
     sub = EchelonBasis()
     for row in _blocks_rows(members, basis, n):
@@ -497,8 +497,7 @@ def check_ideal(omega_set: Iterable, basis: SuperBasis, n_max: int) -> bool:
     same way; by linearity the rows of the block decide both.  The
     tests keep the two-sided span check as the reference.
     """
-    n_max = check_size(n_max, "n_max")
-    _check_cap(basis, n_max)
+    n_max = _check_cap(basis, n_max, "n_max")
     members = {check_partition(m) for m in omega_set}
     for n in range(n_max):
         sources = _blocks_rows([lam for lam in members if sum(lam) == n], basis, n)
@@ -526,7 +525,7 @@ def generated_ideal(
     relations: Iterable[dict], basis: SuperBasis, n: int
 ) -> EchelonBasis:
     """Degree-``n`` slice of the two-sided ideal spanned by degree-2 relations."""
-    _check_cap(basis, n)
+    n = _check_cap(basis, n)
     rels = []
     for rel in relations:
         rel = intify(rel)
@@ -536,14 +535,13 @@ def generated_ideal(
             _check_word(w, basis)
         rels.append(rel)
     sub = EchelonBasis()
-    if n >= 2:
-        for i in range(n - 1):
-            lefts = list(basis.words(i))
-            rights = list(basis.words(n - 2 - i))
-            for rel in rels:
-                for w1 in lefts:
-                    for w2 in rights:
-                        sub.insert({w1 + r + w2: c for r, c in rel.items()})
+    for i in range(n - 1):
+        lefts = list(basis.words(i))
+        rights = list(basis.words(n - 2 - i))
+        for rel in rels:
+            for w1 in lefts:
+                for w2 in rights:
+                    sub.insert({w1 + r + w2: c for r, c in rel.items()})
     return sub
 
 
@@ -561,15 +559,9 @@ class MultilinearPoly:
     __slots__ = ("degree", "_coeffs", "_signs")
 
     def __init__(self, degree: int, coeffs: Mapping):
-        clean = {}
-        values = list(range(1, degree + 1))
-        for sigma, c in coeffs.items():
-            if sorted(sigma) != values:
-                raise ValueError(f"{sigma} is not a permutation of 1..{degree}")
-            if c:
-                clean[tuple(sigma)] = c
-        self.degree = degree
-        self._coeffs = MappingProxyType(clean)
+        self.degree = check_size(degree, "degree")
+        _check_perms(coeffs, self.degree)
+        self._coeffs = MappingProxyType({tuple(s): c for s, c in coeffs.items() if c})
         self._signs: Optional[SignTable] = None
 
     @property
@@ -582,7 +574,14 @@ class MultilinearPoly:
 
         The coefficients are scaled to integers by ``intify``
         (identity-equivalent), and term ``t`` is the ``t``-th of them.
+        The table lays the variables in byte lanes
+        (:func:`_inversion_columns`), so a polynomial of more than 255
+        variables raises :class:`CapExceeded`.
         """
+        if self.degree > 255:
+            raise CapExceeded(
+                f"degree {self.degree} exceeds the sign table's limit of 255 variables"
+            )
         if self._signs is None:
             scaled = intify(self.coeffs)
             self._signs = SignTable(
@@ -800,7 +799,7 @@ def evaluate_identity(
     word, and the loop runs over ``basis.words(n)``.
     """
     _check_ambient(omega, basis)
-    _check_cap(basis, n)
+    n = _check_cap(basis, n)
     get = _column_index(
         _blocks_rows([lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n)
     ).get
@@ -927,7 +926,8 @@ def _inversion_columns(perms: Sequence[Perm], d: int) -> dict[tuple[int, int], i
     ``place[v - 1][p]`` is set when ``perms[t]`` puts the value ``v`` at
     position ``p``.  A plane is one ``bytes.translate`` of the values at
     position ``p`` (a slice of the permutations laid end to end, so
-    ``d`` must stay below 256) and one ``int(..., 2)``.  ``sigma``
+    ``d`` must stay below 256, which :meth:`MultilinearPoly.sign_table`
+    checks) and one ``int(..., 2)``.  ``sigma``
     inverts ``a < b`` iff ``b`` sits at some position before ``a``'s,
     so the column of ``(a, b)`` is the OR over positions ``q`` of
     ``place[a - 1][q]`` AND the OR of ``place[b - 1][p]`` for ``p < q``.

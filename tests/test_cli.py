@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import time
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filteralg import cli
+from filteralg import cli, oracle
 from filteralg.cli import main
 from filteralg.filters import Filter
 
@@ -290,15 +289,16 @@ def test_malformed_filter_file(doc, message, tmp_path, capsys):
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("cap, code", [("8", 3), ("x", 2), ("0", 2), ("-5", 2)])
+@pytest.mark.parametrize("cap, code", [(8, 3), (27, 0)])
 def test_dim_cap_override(cap, code, monkeypatch, capsys):
-    # 3**3 = 27 words exceed a cap of 8; the others are not positive integers.
-    monkeypatch.setenv("FILTERALG_DIM_CAP", cap)
+    # 3**3 = 27 words exceed a cap of 8 and meet a cap of 27.
+    monkeypatch.setattr(oracle, "DIM_CAP", cap)
     assert main(["oracle", "decompose", "--k", "2", "--l", "1", "--n", "3"]) == code
     out, err = capsys.readouterr()
-    assert out == ""
-    if code == 2:
-        assert "FILTERALG_DIM_CAP" in err
+    if code == 3:
+        assert out == "" and "exceeds cap 8" in err
+    else:
+        assert out and err == ""
 
 
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):
@@ -309,7 +309,7 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     first = capsys.readouterr().out
     assert main(["lr", "--mu", "3,1"]) == 2
     assert main(["--help"]) == 0
-    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    monkeypatch.setattr(oracle, "DIM_CAP", 8)
     assert main(["oracle", "decompose", "--k", "2", "--l", "1", "--n", "3"]) == 3
     capsys.readouterr()
     assert main(lr) == 0
@@ -424,7 +424,7 @@ def test_argv_fuzz(argv, filter_text, fuzz_dir):
     argv = [str(fuzz_dir / a) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     # A cap of 4**4 words keeps every oracle call small and reaches exit 3.
-    with mock.patch.dict(os.environ, {"FILTERALG_DIM_CAP": "256"}):
+    with mock.patch.object(oracle, "DIM_CAP", 256):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in {0, 1, 2, 3}

@@ -654,3 +654,16 @@ def test_annihilation_at_any_total_degree():
                 assert verdict == check_annihilation_by_value(g, tup, basis), (n, g, tup)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", [255, 256])
+def test_sign_table_limit_is_255_variables(d):
+    # The sign table lays the variables in byte lanes: 255 of them still
+    # decide, and 256 are refused up front.
+    g = MultilinearPoly(d, {tuple(range(1, d + 1)): 1})
+    monomials = [(1,)] * d
+    if d == 255:
+        assert check_annihilation(g, monomials, SuperBasis(1, 0)) is False
+    else:
+        with pytest.raises(CapExceeded, match="255 variables"):
+            check_annihilation(g, monomials, SuperBasis(1, 0))

@@ -78,6 +78,21 @@ def test_star_action_degree_mismatch():
         star_action({(1, 1): 1}, (1, 2, 3), B20)
 
 
+@pytest.mark.parametrize("sigma", [(1, 1), (0, 1), (2, 3), (1, 2, 2)])
+def test_star_action_refuses_a_non_permutation(sigma):
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\."):
+        star_action({(1, 2): 1}, sigma, B20)
+
+
+def test_star_group_algebra_refuses_mixed_lengths_and_bad_letters():
+    with pytest.raises(ValueError, match=r"\(1, 2, 3\) is not a permutation of 1\.\.2"):
+        star_group_algebra({(1, 2): 1}, {(2, 1): 1, (1, 2, 3): 1}, B20)
+    with pytest.raises(ValueError, match="letter 9 outside 1..2"):
+        star_action({(1, 9): 1}, (2, 1), B20)
+    with pytest.raises(ValueError, match="letters must be integers"):
+        star_action({(1, True): 1}, (2, 1), B20)
+
+
 def test_star_action_associativity_random():
     rng = random.Random(42)
     for _ in range(100):
@@ -188,15 +203,57 @@ def test_cap_enforced():
 
 
 def test_cap_read_from_environment_when_called(monkeypatch):
-    # 3**3 = 27 words exceed a cap of 8; "x" is not a positive integer.
-    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    from filteralg import oracle
+
+    # The cap is oracle.DIM_CAP as it stands at the call: 3**3 = 27 words
+    # exceed a cap of 8.
+    monkeypatch.setattr(oracle, "DIM_CAP", 8)
     with pytest.raises(CapExceeded):
         module_W((2, 1), B21, 3)
-    monkeypatch.setenv("FILTERALG_DIM_CAP", "x")
-    with pytest.raises(ValueError, match="FILTERALG_DIM_CAP"):
-        module_W((2, 1), B21, 3)
-    monkeypatch.delenv("FILTERALG_DIM_CAP")
+    monkeypatch.undo()
     assert module_W((2, 1), B21, 3).dim == w_dim((2, 1), 2, 1)
+
+
+def test_dim_cap_environment_variable_is_ignored(monkeypatch):
+    # An answer depends only on the arguments: no environment variable
+    # sets the cap.
+    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    assert module_W((2, 1), B21, 3).dim == w_dim((2, 1), 2, 1)
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.5, 3.0])
+@pytest.mark.parametrize("basis", [B20, SuperBasis(0, 0)], ids=["B20", "B00"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda basis, n: ideal_subspace(Filter([(2,)]), basis, n),
+        lambda basis, n: generated_ideal([], basis, n),
+        lambda basis, n: evaluate_identity(commutator_product(1), Filter([]), basis, n),
+    ],
+    ids=["ideal_subspace", "generated_ideal", "evaluate_identity"],
+)
+def test_verdicts_refuse_bad_degree(call, basis, n):
+    with pytest.raises(ValueError, match="^n must"):
+        call(basis, n)
+
+
+@pytest.mark.parametrize("lam, n", [((1,), True), ((2, 1), 3.0)])
+def test_module_refuses_bad_degree(lam, n):
+    # |lam| == n holds, so the degree check itself refuses.
+    with pytest.raises(ValueError, match="^n must"):
+        module_W(lam, B20, n)
+
+
+@pytest.mark.parametrize("n_max", [-1, True, 2.5, 3.0])
+def test_check_ideal_refuses_bad_degree(n_max):
+    with pytest.raises(ValueError, match="^n_max must"):
+        check_ideal([(1,), (2,)], B20, n_max)
+
+
+@pytest.mark.parametrize("degree", [-1, True, 2.0])
+def test_polynomial_refuses_bad_degree(degree):
+    with pytest.raises(ValueError, match="^degree must"):
+        MultilinearPoly(degree, {})
 
 
 def test_decomposition_against_formulas():
@@ -586,7 +643,7 @@ def test_verdicts_refuse_before_building_a_block(monkeypatch):
     monkeypatch.setattr(oracle, "module_W", refuse)
     with pytest.raises(ValueError, match="ambient"):
         evaluate_identity(commutator_product(1), Filter([(2,)], (2, 0)), B11, 3)
-    monkeypatch.setenv("FILTERALG_DIM_CAP", "8")
+    monkeypatch.setattr(oracle, "DIM_CAP", 8)
     with pytest.raises(CapExceeded):
         evaluate_identity(commutator_product(1), Filter([(2,)], (2, 1)), B21, 3)
     with pytest.raises(CapExceeded):
