@@ -6,7 +6,7 @@ json`` (and ``csv`` for series) for scripting; ``growth`` always prints
 JSON.  Each command returns its exit code, a JSON payload and its text
 lines, and :func:`main` prints one of the two.  Exit codes: 0 success or
 true verdict, 1 false verdict, 2 usage error, 3 enumeration cap
-exceeded.
+exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -158,12 +158,13 @@ def _filter_with_basis(path: str) -> tuple[Filter, SuperBasis]:
 
 def _cmd_oracle_check_ideal(args) -> Result:
     filt, basis = _filter_with_basis(args.file)
-    members = [
+    # A generator: check_ideal refuses an over-cap n_max before any shape is listed.
+    members = (
         lam
         for n in range(args.n_max + 1)
         for lam in enumerate_partitions(n)
         if filt.member(lam)
-    ]
+    )
     ok = check_ideal(members, basis, args.n_max)
     return _verdict(ok, {"n_max": args.n_max}, [])
 
@@ -278,8 +279,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, lines = args.func(args)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"cap exceeded: {reason}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

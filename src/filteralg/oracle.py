@@ -58,6 +58,7 @@ from .partitions import (
     check_partition,
     check_size,
     enumerate_partitions,
+    in_hook,
 )
 
 DIM_CAP = 4096
@@ -274,23 +275,22 @@ def standard_tableau(lam: Partition) -> list[list[int]]:
     return rows
 
 
-def _standard_tableaux(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """Every standard filling of a shape, as a tuple of rows.
 
-    The largest entry sits in a corner, so each filling is one corner
-    holding ``n`` on top of a standard filling of the shape without it.
+    The entries ``1..n`` are placed in turn, each at the end of a row
+    that is not full and that the row above still overhangs, so every
+    partial filling is a standard filling of a smaller shape.
     """
-    n = sum(lam)
-    if not n:
-        yield ()
-        return
-    for i, p in enumerate(lam):
-        if i + 1 < len(lam) and lam[i + 1] == p:
-            continue
-        rest = lam[:i] + (p - 1,) * (p > 1) + lam[i + 1 :]
-        for sub in _standard_tableaux(rest):
-            row = sub[i] if i < len(sub) else ()
-            yield sub[:i] + (row + (n,),) + sub[i + 1 :]
+    fillings = [((),) * len(lam)]
+    for v in range(1, sum(lam) + 1):
+        fillings = [
+            f[:i] + (f[i] + (v,),) + f[i + 1 :]
+            for f in fillings
+            for i, p in enumerate(lam)
+            if len(f[i]) < p and (not i or len(f[i - 1]) > len(f[i]))
+        ]
+    return fillings
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,9 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
     the seeds are independent.  The inserts are the check: a translate
     that does not grow the block raises ``AssertionError``.  Past the
     seeding the work is exactly ``dim W`` twisted actions and inserts,
-    with each ``sigma_S`` compiled once for all the seeds it moves.
+    with each ``sigma_S`` compiled once for all the seeds it moves.  A
+    shape outside the ``(k, l)`` hook has no semistandard filling, so its
+    block is empty and comes back before any group or tableau is listed.
 
     Results are cached per ``(shape, k, l)`` and must be treated as
     read-only.
@@ -342,6 +344,8 @@ def module_W(lam, basis: SuperBasis, n: int) -> EchelonBasis:
 
 @lru_cache(maxsize=None)
 def _module_W_cached(lam: Partition, k: int, l: int) -> EchelonBasis:
+    if not in_hook(lam, k, l):
+        return EchelonBasis()
     n = sum(lam)
     rows = standard_tableau(lam)
     cols = _columns(rows)
@@ -758,15 +762,13 @@ def _check_degree(name: str, degree: int, max_degree: Optional[int]) -> None:
         raise ValueError(f"{name} has degree {degree}, above the limit {max_degree}")
 
 
-def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of ``d`` positive integers summing to ``n``."""
-    if d == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(1, n - d + 2):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
+def _composition_ends(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The running sums ``(0, ..., n)`` of the compositions of ``n`` into
+    ``d`` positive parts, in lexicographic order of the parts.  Lazy: over
+    one letter the degree has no cap, and there may be C(n-1, d-1)."""
+    if not 0 < d <= n:
+        return iter([(0,)] if d == n == 0 else [])
+    return ((0, *cuts, n) for cuts in combinations(range(1, n), d - 1))
 
 
 def evaluate_identity(
@@ -804,8 +806,7 @@ def evaluate_identity(
         _blocks_rows([lam for lam in enumerate_partitions(n) if not omega.member(lam)], basis, n)
     ).get
     terms = intify(g.coeffs).items()
-    for comp in _compositions(n, g.degree):
-        ends = list(accumulate(comp, initial=0))
+    for ends in _composition_ends(n, g.degree):
         # The term's value at the composition's tuple, read from the
         # concatenated word: the positions of x_sigma(1), x_sigma(2), ...
         compiled = [

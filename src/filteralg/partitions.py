@@ -138,20 +138,13 @@ def hook_rectangle(a1: int, a2: int, b: int) -> Partition:
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of ``n`` in reverse-lexicographic order.
 
-    ``n`` is checked by :func:`check_size` when the call is made, not
-    when the iteration first runs.
+    They are the shapes of size ``n`` on the walk of
+    :func:`enumerate_avoiding` with no generators.  ``n`` is checked by
+    :func:`check_size` when the call is made, not when the iteration
+    first runs.
     """
     n = check_size(n, "n")
-    return _descend(n, n)
-
-
-def _descend(n: int, max_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(max_part, n), 0, -1):
-        for rest in _descend(n - first, first):
-            yield (first,) + rest
+    return (lam for lam in _avoid(n, []) if sum(lam) == n)
 
 
 def enumerate_avoiding(
@@ -173,20 +166,34 @@ def enumerate_avoiding(
     gens = [tuple(g) for g in generators]
     if () in gens:
         return iter(())
-    return _avoid((), n_max, n_max, gens)
+    return _avoid(n_max, gens)
 
 
-def _avoid(
-    prefix: Partition, budget: int, max_part: int, alive: list[Partition]
-) -> Iterator[Partition]:
-    # ``alive``: the generators longer than the prefix whose first rows
-    # fit under it.
-    yield prefix
-    row = len(prefix)
-    cap = min(max_part, budget)
-    for g in alive:
-        if len(g) == row + 1 and g[row] <= cap:
-            cap = g[row] - 1
-    for part in range(cap, 0, -1):
-        still = [g for g in alive if len(g) > row + 1 and g[row] <= part]
-        yield from _avoid(prefix + (part,), budget - part, part, still)
+def _avoid(n_max: int, gens: list[Partition]) -> Iterator[Partition]:
+    # A preorder walk on its own stack, so no depth limit applies.  The
+    # next row takes the largest part allowed; when none is, the last
+    # part is lowered, and its row dropped when it reaches 0.  Any smaller
+    # part is allowed, since the shapes avoiding ``gens`` form an order
+    # ideal.  ``saved[r]``: the cells left and the live generators before
+    # row ``r`` (those longer than ``r`` rows whose first rows fit under
+    # the shape).
+    lam: list[int] = []
+    saved: list[tuple[int, list[Partition]]] = []
+    left, alive = n_max, gens
+    while True:
+        yield tuple(lam)
+        part = min(lam[-1], left) if lam else left
+        for g in alive:
+            if len(g) == len(lam) + 1 and g[-1] <= part:
+                part = g[-1] - 1
+        while not part:
+            if not lam:
+                return
+            part = lam.pop() - 1
+            left, alive = saved.pop()
+        row = len(lam)
+        saved.append((left, alive))
+        lam.append(part)
+        left -= part
+        if alive:
+            alive = [g for g in alive if len(g) > row + 1 and g[row] <= part]

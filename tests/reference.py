@@ -1,7 +1,8 @@
 """Independent references the tests check the package's fast paths against.
 
 Each one computes a quantity the package also computes, by a route that
-shares none of the package's shortcuts: standard tableaux by corner
+shares none of the package's shortcuts: partitions and compositions by
+recursion on the first part, standard tableaux by corner
 removal, ``(k,l)``-semistandard tableaux by counting the oracle's list,
 Littlewood-Richardson fillings cell by cell, Young symmetrizers by
 listing their groups, polarization by listing each variable's slot
@@ -19,7 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from filteralg.linalg import EchelonBasis, add_terms, dense_rank, intify
 from filteralg.filters import Filter
@@ -32,7 +33,6 @@ from filteralg.oracle import (
     _blocks_rows,
     _check_cap,
     _columns,
-    _compositions,
     _ee_symmetries,
     _group_order,
     _super_tableaux,
@@ -46,6 +46,32 @@ from filteralg.partitions import Partition, check_partition, check_size, contain
 def c_stat(lam: Partition) -> int:
     """Number of cells below the first row: ``|lam| - lam_1``."""
     return sum(lam) - (lam[0] if lam else 0)
+
+
+# ---------------------------------------------------------------------------
+# Partitions and compositions.
+
+
+def partitions_by_recursion(n: int, max_part: int) -> Iterator[Partition]:
+    """Partitions of ``n`` with parts at most ``max_part``, reverse-lex:
+    each first part in turn, then the partitions of the rest below it."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(max_part, n), 0, -1):
+        for rest in partitions_by_recursion(n - first, first):
+            yield (first,) + rest
+
+
+def compositions_by_recursion(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``d`` positive integers summing to ``n``."""
+    if d == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(1, n - d + 2):
+        for rest in compositions_by_recursion(n - first, d - 1):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +282,7 @@ def evaluate_identity_by_span(
     span of the member blocks (``ideal_subspace``)."""
     ideal = ideal_subspace(omega, basis, n)
     words_by_len = {m: list(basis.words(m)) for m in range(1, n - g.degree + 2)}
-    for comp in _compositions(n, g.degree):
+    for comp in compositions_by_recursion(n, g.degree):
         for tup in product(*[words_by_len[m] for m in comp]):
             val = _substitute(g, tup)
             if val and not ideal.contains(val):

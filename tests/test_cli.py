@@ -198,6 +198,21 @@ def test_cap_refuses_a_huge_degree_without_the_power(capsys):
     assert out == "" and "3**10000000 exceeds cap" in err
 
 
+def test_check_ideal_refuses_an_over_cap_n_max_before_listing(sym_file, capsys):
+    # The members up to 50 number sum p(n) for n <= 50; none is listed.
+    start = time.perf_counter()
+    assert main(["oracle", "check-ideal", "--file", sym_file, "--n-max", "50"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "2**50 exceeds cap" in err
+
+
+def test_out_of_memory_is_exit_3(sym_file, capsys):
+    with mock.patch.object(cli, "series", side_effect=MemoryError):
+        assert main(["series", "--file", sym_file, "--n-max", "5"]) == 3
+    assert capsys.readouterr() == ("", "cap exceeded: out of memory\n")
+
+
 # Exit code, stdout and stderr of every subcommand in each format it
 # accepts, recorded while each command still printed its own output, so
 # the one printer in ``main`` must reproduce them byte for byte.

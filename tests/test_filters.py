@@ -120,6 +120,8 @@ def test_complement_examples():
     assert Filter([(1, 1)], (2, 0)).complement_at(5) == [(5,)]
     assert Filter([(2, 1)], (3, 3)).complement_at(4) == [(4,), (1, 1, 1, 1)]
     assert Filter([()], (2, 1)).complement_at(3) == []
+    # A column deeper than the default recursion limit of 1000.
+    assert Filter([(2,)], (0, 1)).complement_at(1500) == [(1,) * 1500]
     with pytest.raises(ValueError):
         Filter([(2,)]).complement_at(2)
 

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import factorial
 
 import pytest
@@ -16,6 +16,7 @@ from filteralg.oracle import (
     MultilinearPoly,
     Perm,
     SuperBasis,
+    _composition_ends,
     _standard_tableaux,
     check_ideal,
     commutator_product,
@@ -40,6 +41,7 @@ from reference import (
     c_stat,
     check_ideal_by_span,
     compose,
+    compositions_by_recursion,
     evaluate_identity_by_span,
     full_symmetrizer,
     sign_symmetrizer,
@@ -265,6 +267,29 @@ def test_decomposition_against_formulas():
                 assert sub.dim == w_dim(lam, basis.k, basis.l), (lam, basis)
                 total += sub.dim
             assert total == basis.dim**n
+
+
+def test_deep_blocks_need_no_recursion():
+    # One row or one column of 1500 cells over one letter: the standard
+    # tableaux are listed level by level, past the default recursion limit.
+    assert module_W((1500,), SuperBasis(1, 0), 1500).dim == 1
+    assert module_W((1,) * 1500, SuperBasis(0, 1), 1500).dim == 1
+
+
+def test_block_outside_the_hook_is_empty_at_once():
+    # (12, 12) has 208,012 standard tableaux and no (1, 0)-semistandard
+    # filling, so its block is empty before any tableau is listed.
+    start = time.perf_counter()
+    assert module_W((12, 12), SuperBasis(1, 0), 24).dim == 0
+    assert time.perf_counter() - start < 0.5
+
+
+def test_composition_ends_match_recursion():
+    assert list(_composition_ends(0, 0)) == [(0,)]
+    for n in range(13):
+        for d in range(14):
+            want = [tuple(accumulate(c, initial=0)) for c in compositions_by_recursion(n, d)]
+            assert list(_composition_ends(n, d)) == want, (n, d)
 
 
 def test_module_independent_of_tableau_choice():
@@ -561,9 +586,7 @@ def test_commutator_products_avoid_shallow_blocks():
             deep = _span_c_at_least(basis, n, j)
             g = commutator_product(j)
             items = intify(g.coeffs).items()
-            from filteralg.oracle import _compositions
-
-            for comp in _compositions(n, 2 * j):
+            for comp in compositions_by_recursion(n, 2 * j):
                 for tup in product(*[list(basis.words(m)) for m in comp]):
                     val = {}
                     for sigma, c in items:

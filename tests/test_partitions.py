@@ -15,7 +15,7 @@ from filteralg.partitions import (
     in_hook,
     parse_partition,
 )
-from reference import c_stat
+from reference import c_stat, partitions_by_recursion
 
 
 @st.composite
@@ -150,6 +150,16 @@ def test_enumerate_counts_and_order():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
+def test_enumerate_matches_recursion():
+    for n in range(16):
+        assert list(enumerate_partitions(n)) == list(partitions_by_recursion(n, n)), n
+
+
+def test_avoiding_walk_has_no_depth_limit():
+    # The column of 3000 rows is past the default recursion limit of 1000.
+    assert list(enumerate_avoiding([(2,)], 3000)) == [(1,) * n for n in range(3001)]
+
+
 def test_c_stat():
     assert c_stat((5, 2, 1)) == 3
     assert c_stat((7,)) == 0
@@ -204,7 +214,7 @@ def test_enumerate_avoiding_matches_filtering(gens, n_max):
     assert len(set(walked)) == len(walked)
     for n in range(n_max + 1):
         expected = [
-            lam for lam in enumerate_partitions(n)
+            lam for lam in partitions_by_recursion(n, n)
             if not any(contains(g, lam) for g in gens)
         ]
         assert [lam for lam in walked if sum(lam) == n] == expected, n

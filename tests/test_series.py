@@ -14,6 +14,7 @@ from filteralg.partitions import (
     in_hook,
 )
 from filteralg.series import dim_quotient, series, verify_growth
+from reference import partitions_by_recursion
 
 
 def test_dim_quotient_examples():
@@ -60,6 +61,13 @@ def test_series_wedge_of_plane(k):
     assert wedge.values == tuple(math.comb(k, n) for n in range(5))
     sym = series(Filter([(1, 1)], (k, 0)), 4)
     assert sym.values == tuple(math.comb(n + k - 1, n) for n in range(5))
+
+
+def test_series_of_columns_past_the_recursion_limit():
+    # Only the columns (1^n) avoid (2); over (1, 2) each is the block of
+    # dimension 2n + 1, and the column of 1100 rows needs no recursion.
+    values = series(Filter([(2,)], (1, 2)), 1100).values
+    assert values == tuple(2 * n + 1 for n in range(1101))
 
 
 def test_series_against_oracle_dimensions():
@@ -154,7 +162,7 @@ def _complement_by_filtering(f, n):
     k, l = f.ambient
     return [
         lam
-        for lam in enumerate_partitions(n)
+        for lam in partitions_by_recursion(n, n)
         if in_hook(lam, k, l) and not f.member(lam)
     ]
 
